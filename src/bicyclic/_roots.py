@@ -1,12 +1,15 @@
-"""Univariate polynomial helpers: trimming, evaluation, companion-matrix roots.
+"""Univariate polynomial helpers: trimming, companion-matrix roots, Newton polish.
 
 Coefficient arrays are 1-D complex, low order first (index p = coefficient
-of z^p).  Batched root finding groups rows by effective degree so that a
-single stacked eigvals call handles each group.
+of z^p), the convention of numpy.polynomial.polynomial, whose polyval and
+polyder do all evaluation and differentiation here.  Batched root finding
+groups rows by effective degree so that a single stacked eigvals call
+handles each group.
 """
 from __future__ import annotations
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 
 RELATIVE_COEFF_FLOOR = 1e-13
 
@@ -22,23 +25,6 @@ def trim_trailing(c: np.ndarray, rel: float = RELATIVE_COEFF_FLOOR) -> np.ndarra
     if keep.size == 0:
         return np.zeros(1, dtype=complex)
     return c[: keep[-1] + 1].copy()
-
-
-def polyval(c: np.ndarray, z):
-    """Horner evaluation of a low-first coefficient array at z (broadcasts)."""
-    c = np.asarray(c, dtype=complex)
-    z = np.asarray(z)
-    acc = np.zeros(np.broadcast(z, 1.0).shape, dtype=complex)
-    for ck in c[::-1]:
-        acc = acc * z + ck
-    return acc if acc.shape else complex(acc)
-
-
-def polyder(c: np.ndarray) -> np.ndarray:
-    c = np.asarray(c, dtype=complex)
-    if c.size <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, c.size)
 
 
 def _companion_stack(monic_tail: np.ndarray) -> np.ndarray:
@@ -106,11 +92,14 @@ def batched_roots(coeff_rows: np.ndarray, rel: float = RELATIVE_COEFF_FLOOR):
 
 def newton_polish(c: np.ndarray, x0: complex, iters: int = 4) -> complex:
     """A few Newton steps on a univariate polynomial from x0."""
-    dc = polyder(c)
+    c = np.asarray(c, dtype=complex)
+    dc = P.polyder(c)
     x = complex(x0)
     for _ in range(iters):
-        fp = polyval(dc, x)
+        # a 0-d array, not a Python complex: numpy's scalar arithmetic
+        # rounds some complex products differently from its array loops
+        fp = complex(P.polyval(np.asarray(x), dc))
         if fp == 0:
             break
-        x = x - polyval(c, x) / fp
+        x = x - complex(P.polyval(np.asarray(x), c)) / fp
     return x

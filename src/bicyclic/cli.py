@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +21,7 @@ from .capacity import (cofactor_experiment, decay_fit, fourier_coefficients,
                        make_bump_measure, make_uniform_measure,
                        noncyclicity_certificate, riesz_energy)
 from .classifier import Threshold, classify, classify_with_evidence
-from .curvegeom import curve_type_at, fa_poly, trace_branch
+from .curvegeom import _centered_window, curve_type_at, fa_poly, trace_branch
 from .detrep import (DetRep, load_pair_dataset, polynomial_from_unitary,
                      random_unitary)
 from .dirichlet import AlphaSpace, distance_profile, profile_csv_rows
@@ -45,14 +44,12 @@ class RunConfig:
     subcommand: str
     out_dir: Path
     seed: int
-    threads: int | None
     options: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "subcommand": self.subcommand,
             "seed": self.seed,
-            "threads": self.threads,
             "options": self.options,
         }
 
@@ -63,6 +60,18 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_csv(path: Path, rows) -> None:
     path.write_text("\n".join(rows) + "\n")
+
+
+def _write_polynomial(cfg: RunConfig, f: Poly2, **extra) -> None:
+    """detgen.json (config, polynomial, extra keys) and detgen.csv."""
+    doc = {"config": cfg.to_dict(), "polynomial": f.to_json_dict(), **extra}
+    _write_json(cfg.out_dir / "detgen.json", doc)
+    rows = ["k,l,re,im"]
+    for k in range(f.coeffs.shape[0]):
+        for l in range(f.coeffs.shape[1]):
+            c = f.coeffs[k, l]
+            rows.append(f"{k},{l},{c.real!r},{c.imag!r}")
+    _write_csv(cfg.out_dir / "detgen.csv", rows)
 
 
 def _load_poly(path: str) -> Poly2:
@@ -128,16 +137,8 @@ def _cmd_detgen(cfg: RunConfig, args) -> int:
         g, _ = normalize_symmetric(entry["f"])
         rep = unitary_from_pair(g, AglerPair(entry["P"], entry["Q"]))
         f = polynomial_from_unitary(rep)
-        doc = {"config": cfg.to_dict(), "polynomial": f.to_json_dict(),
-               "dataset": args.dataset,
-               "unitary": [[[c.real, c.imag] for c in row] for row in rep.U]}
-        _write_json(cfg.out_dir / "detgen.json", doc)
-        rows = ["k,l,re,im"]
-        for k in range(f.coeffs.shape[0]):
-            for l in range(f.coeffs.shape[1]):
-                c = f.coeffs[k, l]
-                rows.append(f"{k},{l},{c.real!r},{c.imag!r}")
-        _write_csv(cfg.out_dir / "detgen.csv", rows)
+        _write_polynomial(cfg, f, dataset=args.dataset,
+                          unitary=[[[c.real, c.imag] for c in row] for row in rep.U])
         print(f"reconstructed {args.dataset}: bidegree {f.bidegree}")
         return 0
     if not args.unitary or not args.size:
@@ -145,14 +146,7 @@ def _cmd_detgen(cfg: RunConfig, args) -> int:
     U = _load_matrix(args.unitary)
     rep = DetRep(complex(args.scale_re, args.scale_im), U, args.size[0], args.size[1])
     f = polynomial_from_unitary(rep)
-    doc = {"config": cfg.to_dict(), "polynomial": f.to_json_dict()}
-    _write_json(cfg.out_dir / "detgen.json", doc)
-    rows = ["k,l,re,im"]
-    for k in range(f.coeffs.shape[0]):
-        for l in range(f.coeffs.shape[1]):
-            c = f.coeffs[k, l]
-            rows.append(f"{k},{l},{c.real!r},{c.imag!r}")
-    _write_csv(cfg.out_dir / "detgen.csv", rows)
+    _write_polynomial(cfg, f)
     print(f"generated polynomial of bidegree {f.bidegree}")
     return 0
 
@@ -174,10 +168,8 @@ def _cmd_torus_zeros(cfg: RunConfig, args) -> int:
 
 def _cmd_curve_type(cfg: RunConfig, args) -> int:
     f = _load_poly(args.poly)
-    nodes = args.nodes
-    h = 2 * args.half_width / nodes
-    window = (args.t - (nodes // 2) * h, args.t + (nodes - nodes // 2) * h)
-    branch = trace_branch(f, window, nodes)
+    branch = trace_branch(f, _centered_window(args.t, args.half_width, args.nodes),
+                          args.nodes)
     report = curve_type_at(branch, args.t, args.max_order)
     doc = {"config": cfg.to_dict(), "report": report.to_dict()}
     _write_json(cfg.out_dir / "curve_type.json", doc)
@@ -421,12 +413,10 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = os.environ.get("BICYCLIC_THREADS")
     cfg = RunConfig(
         subcommand=args.subcommand,
         out_dir=out_dir,
         seed=args.seed,
-        threads=int(threads) if threads else None,
         options={k: v for k, v in sorted(vars(args).items())
                  if k not in ("subcommand", "out", "seed") and v is not None
                  and not isinstance(v, Path)},

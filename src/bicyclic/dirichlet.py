@@ -4,7 +4,8 @@ The norm of f = sum a[k,l] z1^k z2^l in the space with parameter alpha is
 sqrt(sum (k+1)^alpha (l+1)^alpha |a[k,l]|^2).  The optimal approximant of
 degree cap N minimizes ||p f - 1|| over polynomials p supported on total
 degree i + j <= N; it is computed from the normal equations with the Gram
-matrix of the shifted copies of f.
+matrix of the shifted copies of f.  A whole distance profile is solved from
+one Cholesky factor of the Gram matrix at the largest cap.
 """
 from __future__ import annotations
 
@@ -14,8 +15,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .poly2 import Poly2
-
-GRAM_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -125,53 +124,58 @@ def _total_degree_basis(cap: int) -> list[tuple[int, int]]:
 def optimal_approximant(f: Poly2, space: AlphaSpace, degree_cap: int) -> ApproximantResult:
     """Minimize ||p f - 1|| over p of total degree at most degree_cap.
 
-    Assembles the Gram matrix of the monomial shifts of f, solves the normal
-    equations by Cholesky with a jitter fallback, and evaluates the distance
-    directly from the residual coefficients.
+    The one-cap case of `distance_profile`.
     """
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    if degree_cap < 0:
-        raise ValueError("degree cap must be nonnegative")
-    n, m = f.bidegree
-    basis = _total_degree_basis(degree_cap)
-    B = len(basis)
-    K, L = n + degree_cap + 1, m + degree_cap + 1
-    W = space.weight_grid((K, L))
-
-    shifts = np.zeros((B, K, L), dtype=complex)
-    for b, (i, j) in enumerate(basis):
-        shifts[b, i: i + n + 1, j: j + m + 1] = f.coeffs
-
-    G = np.einsum("bkl,akl,kl->ab", shifts, np.conj(shifts), W, optimize=True)
-    rhs = np.conj(shifts[:, 0, 0]) * W[0, 0]
-
-    cond = float(np.linalg.cond(G))
-    trace_scale = float(np.real(np.trace(G))) / B
-    coeffs_vec = None
-    for jit in GRAM_JITTERS:
-        try:
-            Lc = np.linalg.cholesky(G + jit * trace_scale * np.eye(B))
-            y = np.linalg.solve(Lc, rhs)
-            coeffs_vec = np.linalg.solve(Lc.conj().T, y)
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if coeffs_vec is None:
-        raise ValueError(f"singular Gram matrix (condition estimate {cond:.3e})")
-
-    p = Poly2.from_terms({(i, j): coeffs_vec[b] for b, (i, j) in enumerate(basis)})
-    residual = p * f - Poly2.constant(1.0)
-    dist = alpha_norm(residual, space)
-    return ApproximantResult(degree_cap, p, dist, cond)
+    return distance_profile(f, space, [degree_cap])[0]
 
 
 def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResult]:
-    """Optimal-approximant distances for a strictly increasing list of caps."""
+    """Optimal approximants for a strictly increasing list of degree caps.
+
+    The total-degree basis is ordered by degree, so the basis of each cap is
+    a prefix of the basis at max(caps): its Gram matrix is a leading block
+    of the largest one, and so is its Cholesky factor.  One factorization
+    serves every cap; each cap's normal equations are solved on the leading
+    block, and the distance is evaluated directly from the residual
+    coefficients.  `gram_condition` is the exact 2-norm condition number of
+    the cap's Gram block.
+    """
     caps = list(caps)
     if any(b <= a for a, b in zip(caps, caps[1:])):
         raise ValueError("caps must be strictly increasing")
-    return [optimal_approximant(f, space, N) for N in caps]
+    if not caps:
+        return []
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    if caps[0] < 0:
+        raise ValueError("degree cap must be nonnegative")
+    n, m = f.bidegree
+    basis = _total_degree_basis(caps[-1])
+    K, L = n + caps[-1] + 1, m + caps[-1] + 1
+    W = space.weight_grid((K, L)).ravel()
+
+    shifts = np.zeros((len(basis), K, L), dtype=complex)
+    for b, (i, j) in enumerate(basis):
+        shifts[b, i: i + n + 1, j: j + m + 1] = f.coeffs
+    A = shifts.reshape(len(basis), K * L)
+    G = (np.conj(A) * W) @ A.T
+    rhs = np.conj(A[:, 0]) * W[0]
+    try:
+        Lc = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            f"singular Gram matrix (condition estimate {np.linalg.cond(G):.3e})") from None
+
+    out = []
+    for N in caps:
+        B = (N + 1) * (N + 2) // 2
+        Lb = Lc[:B, :B]
+        coeffs_vec = np.linalg.solve(Lb.conj().T, np.linalg.solve(Lb, rhs[:B]))
+        eig = np.linalg.eigvalsh(G[:B, :B])
+        p = Poly2.from_terms({(i, j): coeffs_vec[b] for b, (i, j) in enumerate(basis[:B])})
+        dist = alpha_norm(p * f - Poly2.constant(1.0), space)
+        out.append(ApproximantResult(N, p, dist, float(eig[-1] / eig[0])))
+    return out
 
 
 def profile_csv_rows(profile) -> list[str]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 
 from ._roots import trim_trailing
 
@@ -120,17 +121,16 @@ class Poly2:
     # -- evaluation and arithmetic ------------------------------------------
 
     def __call__(self, z1, z2):
-        """Evaluate by bivariate Horner; broadcasts over array inputs."""
+        """Evaluate by nested Horner (z2 inside, z1 outside); broadcasts."""
         z1 = np.asarray(z1, dtype=complex)
         z2 = np.asarray(z2, dtype=complex)
-        shape = np.broadcast(z1, z2).shape
-        acc = np.zeros(shape, dtype=complex)
-        for row in self.coeffs[::-1]:
-            inner = np.zeros(shape, dtype=complex)
-            for c in row[::-1]:
-                inner = inner * z2 + c
-            acc = acc * z1 + inner
-        return acc if shape else complex(acc)
+        # the z2 points get a leading axis that pairs with the coefficient rows,
+        # so each Horner product has operands of equal rank: numpy rounds some
+        # products of length-1 operands of unequal rank differently
+        rows = self.coeffs.T.reshape(self.coeffs.T.shape + (1,) * z2.ndim)
+        inner = P.polyval(z2[np.newaxis], rows, tensor=False)
+        vals = P.polyval(z1, inner, tensor=False)
+        return vals if np.ndim(vals) else complex(vals)
 
     def __add__(self, other) -> "Poly2":
         other = _as_poly(other)

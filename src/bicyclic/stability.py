@@ -100,18 +100,20 @@ def _min_modulus_on_grid(f: Poly2, angular: int) -> float:
 
 
 def _scan_one_orientation(f: Poly2, w_nodes: np.ndarray):
-    """Slice along z2 = w and root-solve in z1.  Returns hit lists."""
+    """Slice along z2 = w and root-solve in z1.
+
+    Returns the closed-bidisk hits (z1, z2) and, per hit, whether it lies in
+    the open bidisk.
+    """
     rows = _slice_coeff_rows(f, w_nodes)
     roots = batched_roots(rows)
-    open_hits: list[tuple[complex, complex]] = []
-    closed_hits: list[tuple[complex, complex]] = []
+    hits: list[tuple[complex, complex]] = []
+    is_open: list[bool] = []
     for s, rts in enumerate(roots):
         w = w_nodes[s]
         if rts is None:  # f(., w) identically zero: the whole line vanishes
-            pt = (0.0 + 0j, complex(w))
-            closed_hits.append(pt)
-            if abs(w) < 1.0 - OPEN_MARGIN:
-                open_hits.append(pt)
+            hits.append((0.0 + 0j, complex(w)))
+            is_open.append(abs(w) < 1.0 - OPEN_MARGIN)
             continue
         if rts.size == 0:
             continue
@@ -119,10 +121,9 @@ def _scan_one_orientation(f: Poly2, w_nodes: np.ndarray):
         for r, md in zip(rts, mods):
             if md <= 1.0 + OPEN_MARGIN:
                 r = newton_polish(rows[s], r)
-                closed_hits.append((complex(r), complex(w)))
-                if abs(r) < 1.0 - OPEN_MARGIN and abs(w) < 1.0 - OPEN_MARGIN:
-                    open_hits.append((complex(r), complex(w)))
-    return open_hits, closed_hits
+                hits.append((complex(r), complex(w)))
+                is_open.append(abs(r) < 1.0 - OPEN_MARGIN and abs(w) < 1.0 - OPEN_MARGIN)
+    return hits, is_open
 
 
 def bidisk_zero_scan(f: Poly2, radial_steps: int = 64,
@@ -150,33 +151,35 @@ def bidisk_zero_scan(f: Poly2, radial_steps: int = 64,
         c = f.univariate_coeffs()
         rts = roots_low_first(c)
         uni_axis = 1 if m == 0 else 2
-        open_hits, closed_hits = [], []
+        hits, is_open = [], []
         for r in rts:
             if abs(r) <= 1.0 + OPEN_MARGIN:
-                pt = (complex(r), 0j) if uni_axis == 1 else (0j, complex(r))
-                closed_hits.append(pt)
-                if abs(r) < 1.0 - OPEN_MARGIN:
-                    open_hits.append(pt)
+                hits.append((complex(r), 0j) if uni_axis == 1 else (0j, complex(r)))
+                is_open.append(abs(r) < 1.0 - OPEN_MARGIN)
     else:
         w_nodes = _disk_nodes(radial_steps, angular_steps)
-        open_a, closed_a = _scan_one_orientation(f, w_nodes)
-        open_b, closed_b = _scan_one_orientation(f.swap_variables(), w_nodes)
-        open_hits = open_a + [(w, r) for (r, w) in open_b]
-        closed_hits = closed_a + [(w, r) for (r, w) in closed_b]
+        hits_a, open_a = _scan_one_orientation(f, w_nodes)
+        hits_b, open_b = _scan_one_orientation(f.swap_variables(), w_nodes)
+        hits = hits_a + [(w, r) for (r, w) in hits_b]
+        is_open = open_a + open_b
 
-    def best_witness(hits):
-        if not hits:
-            return None
-        vals = [abs(f(p[0], p[1])) for p in hits]
-        i = int(np.argmin(vals))
-        return hits[i] if vals[i] <= 1e-6 * scale else None
-
-    witness = best_witness(open_hits) or best_witness(closed_hits)
-    if closed_hits:
-        min_mod = min(min_mod, min(abs(f(p[0], p[1])) for p in closed_hits))
+    # one evaluation over all closed hits; the witness is the best open hit
+    # if one is a zero to 1e-6 * scale, else the best closed hit
+    witness = None
+    if hits:
+        pts = np.array(hits)
+        fv = f(pts[:, 0], pts[:, 1])
+        vals = np.hypot(fv.real, fv.imag)  # rounds like abs() of a Python complex
+        for mask in (np.array(is_open), np.full(len(hits), True)):
+            if mask.any():
+                i = int(np.flatnonzero(mask)[np.argmin(vals[mask])])
+                if vals[i] <= 1e-6 * scale:
+                    witness = hits[i]
+                    break
+        min_mod = min(min_mod, float(vals.min()))
     return BidiskStabilityReport(
-        has_zero_in_open_bidisk=bool(open_hits),
-        has_zero_on_closed_bidisk=bool(closed_hits),
+        has_zero_in_open_bidisk=any(is_open),
+        has_zero_on_closed_bidisk=bool(hits),
         witness=witness,
         min_modulus_estimate=float(min_mod),
         grid_resolution=grid,

@@ -10,9 +10,9 @@ from bicyclic.poly2 import Poly2
 from conftest import random_poly
 
 
-def brute_force_approximant(f, alpha, N):
-    """Independent oracle: dense weighted least squares on the raw
-    coefficient design matrix (no Gram matrix, no Cholesky)."""
+def oracle_design(f, alpha, N):
+    """Weighted design matrix of the shifts z1^i z2^j f (one column per
+    basis monomial, total degree <= N) and the weighted target 1."""
     n, m = f.bidegree
     basis = [(t - j, j) for t in range(N + 1) for j in range(t + 1)]
     K, L = n + N + 1, m + N + 1
@@ -25,6 +25,13 @@ def brute_force_approximant(f, alpha, N):
         A[:, b] = g.ravel() * sw
     target = np.zeros(K * L, dtype=complex)
     target[0] = sw[0]
+    return A, target
+
+
+def brute_force_approximant(f, alpha, N):
+    """Independent oracle: dense weighted least squares on the raw
+    coefficient design matrix (no Gram matrix, no Cholesky)."""
+    A, target = oracle_design(f, alpha, N)
     c, *_ = np.linalg.lstsq(A, target, rcond=None)
     return c, float(np.linalg.norm(A @ c - target))
 
@@ -212,6 +219,35 @@ class TestDistanceProfile:
     def test_caps_validated(self, f0):
         with pytest.raises(ValueError):
             distance_profile(f0, AlphaSpace(0.0), [4, 4])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_every_cap_matches_oracle(self, rng, alpha):
+        # each cap is solved on a leading block of one factor; each must
+        # agree with its own dense least-squares solve
+        caps = [0, 2, 5, 8]
+        for _ in range(4):
+            f = random_poly(rng, 2)
+            prof = distance_profile(f, AlphaSpace(alpha), caps)
+            assert [r.degree_cap for r in prof] == caps
+            for r in prof:
+                N = r.degree_cap
+                c, d = brute_force_approximant(f, alpha, N)
+                assert abs(r.distance - d) <= 1e-10
+                got = r.approximant.padded((N + 1, N + 1))
+                basis = [(t - j, j) for t in range(N + 1) for j in range(t + 1)]
+                for b, (i, j) in enumerate(basis):
+                    assert abs(got[i, j] - c[b]) <= 1e-9
+
+    def test_gram_condition_is_design_condition_squared(self, rng):
+        for alpha in (0.0, 1.0):
+            f = random_poly(rng, 2)
+            for r in distance_profile(f, AlphaSpace(alpha), [0, 3, 6]):
+                A, _ = oracle_design(f, alpha, r.degree_cap)
+                expect = np.linalg.cond(A) ** 2
+                assert abs(r.gram_condition - expect) <= 1e-8 * expect
+
+    def test_empty_caps(self, f0):
+        assert distance_profile(f0, AlphaSpace(0.5), []) == []
 
     def test_csv_rows(self, f0):
         prof = distance_profile(f0, AlphaSpace(0.5), [0, 2])

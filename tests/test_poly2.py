@@ -32,6 +32,35 @@ class TestEvaluate:
         for i in range(8):
             assert abs(vals[i] - f(z1[i], z2[i])) < 1e-12
 
+    @staticmethod
+    def double_sum(f, z1, z2):
+        """Oracle: sum_{k,l} a[k,l] z1^k z2^l term by term."""
+        return sum(c * z1 ** k * z2 ** l for (k, l), c in np.ndenumerate(f.coeffs))
+
+    def test_matches_double_sum(self, rng):
+        for n, m in [(1, 1), (2, 2), (3, 3), (1, 0), (0, 1), (0, 3), (4, 2)]:
+            shape = (n + 1, m + 1)
+            f = Poly2(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            z1 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            z2 = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+            v = f(complex(z1[0]), complex(z2[0]))
+            assert type(v) is complex
+            assert abs(v - self.double_sum(f, z1[0], z2[0])) <= 1e-12 * (1 + abs(v))
+            got = f(z1[:, None], z2[None, :])
+            expect = self.double_sum(f, z1[:, None], z2[None, :])
+            assert got.shape == (5, 7)
+            assert np.abs(got - expect).max() <= 1e-12 * (1 + np.abs(expect).max())
+
+    def test_univariate_matches_double_sum(self, rng):
+        z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        for f in (Poly2([[1], [-2], [0.5j]]), Poly2([[1, -2, 0.5j]])):
+            for z1, z2 in ((z, 0.3), (0.3, z), (z[:1], z[:1])):
+                got = f(z1, z2)
+                expect = self.double_sum(f, np.asarray(z1), np.asarray(z2))
+                assert got.shape == np.shape(expect)
+                assert np.abs(got - expect).max() <= 1e-12 * (1 + np.abs(expect).max())
+            assert type(f(0.5, -0.25j)) is complex
+
 
 class TestArithmetic:
     def test_expansion(self):

@@ -7,7 +7,50 @@ from bicyclic.stability import (TorusZeroKind, bidisk_zero_scan,
                                 torus_zero_classification)
 
 
+def scalar_loop_reference(f, radial_steps=64, angular_steps=128):
+    """Reference witness and min-modulus: one scalar |f| call per hit, on the
+    hits of the scan's own slices."""
+    from bicyclic._roots import roots_low_first
+    from bicyclic.stability import (OPEN_MARGIN, _disk_nodes, _min_modulus_on_grid,
+                                    _scan_one_orientation)
+    if f.is_univariate:
+        hits, is_open = [], []
+        for r in roots_low_first(f.univariate_coeffs()):
+            if abs(r) <= 1.0 + OPEN_MARGIN:
+                hits.append((complex(r), 0j) if f.bidegree[1] == 0 else (0j, complex(r)))
+                is_open.append(abs(r) < 1.0 - OPEN_MARGIN)
+    else:
+        w = _disk_nodes(radial_steps, angular_steps)
+        hits, is_open = _scan_one_orientation(f, w)
+        hits_b, open_b = _scan_one_orientation(f.swap_variables(), w)
+        hits += [(b, a) for (a, b) in hits_b]
+        is_open += open_b
+
+    def best(pts):
+        if not pts:
+            return None
+        vals = [abs(f(p[0], p[1])) for p in pts]
+        i = int(np.argmin(vals))
+        return pts[i] if vals[i] <= 1e-6 * f.scale else None
+
+    witness = best([p for p, o in zip(hits, is_open) if o]) or best(hits)
+    min_mod = _min_modulus_on_grid(f, angular_steps)
+    if hits:
+        min_mod = min(min_mod, min(abs(f(p[0], p[1])) for p in hits))
+    return witness, float(min_mod)
+
+
 class TestBidiskScan:
+    def test_matches_scalar_loop_reference(self, rng):
+        polys = [Poly2([[2, -1], [-1.1, 0]]), Poly2([[0.5, 1]]), Poly2([[1, 0], [0, 1]])]
+        for shape in [(4, 1), (1, 4), (3, 3)] * 6:
+            polys.append(Poly2(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+        for f in polys:
+            r = bidisk_zero_scan(f, 24, 48)
+            witness, min_mod = scalar_loop_reference(f, 24, 48)
+            assert r.witness == witness
+            assert r.min_modulus_estimate == min_mod
+
     def test_z1z2_open_zero(self):
         r = bidisk_zero_scan(Poly2([[0, 0], [0, 1]]), 16, 32)
         assert r.has_zero_in_open_bidisk and r.has_zero_on_closed_bidisk

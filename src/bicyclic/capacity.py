@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvegeom import CurveBranch, curve_type_at, trace_branch
-from .poly2 import Poly2
+from .poly2 import Poly2, lattice_values
 from .stability import TorusZeroKind, torus_zero_classification
 
 TWO_PI = 2.0 * np.pi
@@ -337,16 +337,6 @@ class CofactorReport:
         }
 
 
-def _lattice_values(f: Poly2, grid: int) -> np.ndarray:
-    """f on the grid x grid torus lattice via a zero-padded inverse FFT."""
-    n, m = f.bidegree
-    if n >= grid or m >= grid:
-        raise ValueError("grid too small for the polynomial degree")
-    padded = np.zeros((grid, grid), dtype=complex)
-    padded[: n + 1, : m + 1] = f.coeffs
-    return np.fft.ifft2(padded) * grid * grid
-
-
 def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int,
                         cutoffs=None) -> CofactorReport:
     """Spectral membership experiment for Q = prod (z - zeta)^(qN) / f.
@@ -360,14 +350,14 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int,
     if grid < 256 or grid & (grid - 1):
         raise ValueError("grid must be a power of two, at least 256")
     scale = f.scale
-    fv = _lattice_values(f, grid)
+    fv = lattice_values(f, grid)
 
     q0 = Poly2.constant(1.0)
     for (z1, z2) in zeros:
         fac1 = Poly2(np.array([[-z1], [1.0]], dtype=complex)) ** q
         fac2 = Poly2(np.array([[-z2, 1.0]], dtype=complex)) ** q
         q0 = q0 * fac1 * fac2
-    q0v = _lattice_values(q0, grid) ** N
+    q0v = lattice_values(q0, grid) ** N
 
     tiny = np.abs(fv) <= 1e-10 * scale
     if tiny.any():

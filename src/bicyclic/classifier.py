@@ -102,8 +102,8 @@ class CyclicityVerdict:
         }
 
 
-def _classify_factor(f: Poly2, radial_steps: int, angular_steps: int) -> FactorAnalysis:
-    scan = bidisk_zero_scan(f, radial_steps, angular_steps)
+def _classify_factor(f: Poly2) -> FactorAnalysis:
+    scan = bidisk_zero_scan(f)
     if scan.has_zero_in_open_bidisk:
         return FactorAnalysis(f, Threshold.NOT_CYCLIC_ANY_ALPHA, scan, None,
                               "zero inside the open bidisk")
@@ -126,18 +126,17 @@ def _classify_factor(f: Poly2, radial_steps: int, angular_steps: int) -> FactorA
                           "torus zero set contains a curve")
 
 
-def classify(factors, radial_steps: int = 48, angular_steps: int = 96) -> CyclicityVerdict:
+def classify(factors) -> CyclicityVerdict:
     """Main decision procedure over a nonempty list of irreducible factors."""
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one factor")
-    analyses = [_classify_factor(f, radial_steps, angular_steps) for f in factors]
+    analyses = [_classify_factor(f) for f in factors]
     combined = Threshold(min(fa.threshold for fa in analyses))
     return CyclicityVerdict(combined, tuple(analyses))
 
 
 def classify_with_evidence(factors, alphas, degree_caps,
-                           radial_steps: int = 48, angular_steps: int = 96,
                            certificate_K: int = 64) -> CyclicityVerdict:
     """classify plus distance profiles and, where applicable, energy evidence.
 
@@ -146,7 +145,7 @@ def classify_with_evidence(factors, alphas, degree_caps,
     certificate is attached for the first curve factor.  Evidence that
     disagrees with the algebraic verdict is flagged, never substituted.
     """
-    verdict = classify(factors, radial_steps, angular_steps)
+    verdict = classify(factors)
     product = factors[0]
     for f in factors[1:]:
         product = product * f

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import batched_roots
-from .poly2 import MobiusParams, Poly2, mobius_numerator
+from .poly2 import MobiusParams, Poly2, mobius_numerator, slice_rows
 
 TWO_PI = 2.0 * np.pi
 ON_CURVE_TOL = 1e-8          # |f| at a traced node, relative to the scale
@@ -163,14 +163,11 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
     t0, t1 = float(t_window[0]), float(t_window[1])
     if t1 <= t0:
         raise ValueError("empty parameter window")
-    n, _ = f.bidegree
     scale = f.scale
     t = t0 + (t1 - t0) * np.arange(nodes) / nodes
     z1 = np.exp(1j * t)
 
-    V = z1[:, None] ** np.arange(n + 1)[None, :]
-    rows = V @ f.coeffs
-    all_roots = batched_roots(rows)
+    all_roots = batched_roots(slice_rows(f.coeffs, z1))
 
     m = np.empty(nodes)
     prev = None

@@ -18,7 +18,8 @@ from importlib import resources
 import numpy as np
 
 from ._roots import roots_low_first, trim_trailing
-from .poly2 import Poly2, coeff_distance, compute_h, unimodular_reflection_match
+from .poly2 import (Poly2, coeff_distance, compute_h, slice_rows,
+                    unimodular_reflection_match)
 
 UNITARITY_TOL = 1e-10
 
@@ -156,12 +157,9 @@ def verify_agler_identity(f: Poly2, pair: AglerPair, samples: int = 200,
 
 def _torus_zero_samples(f: Poly2, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Points (z1, z2) on Z(f) with both coordinates on the unit circle."""
-    n, m = f.bidegree
-    ts = np.linspace(0.0, 2 * np.pi, count, endpoint=False) + 0.05
+    nodes = np.exp(1j * (np.linspace(0.0, 2 * np.pi, count, endpoint=False) + 0.05))
     z1s, z2s = [], []
-    for t in ts:
-        z1 = np.exp(1j * t)
-        c = (z1 ** np.arange(n + 1)) @ f.coeffs
+    for z1, c in zip(nodes, slice_rows(f.coeffs, nodes)):
         for r in roots_low_first(c):
             if abs(abs(r) - 1.0) <= 1e-8:
                 z1s.append(z1)

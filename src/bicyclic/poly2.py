@@ -362,6 +362,23 @@ def compute_h(f: Poly2) -> Poly2:
     return Poly2(f.coeffs * (k + l), f.trim_tolerance)
 
 
+def slice_rows(coeffs: np.ndarray, z1) -> np.ndarray:
+    """Low-first z2-coefficients of f(z1, .) at each point z1, by Horner in
+    z1: shape z1.shape + (m+1,)."""
+    rows = P.polyval(np.asarray(z1, dtype=complex), np.asarray(coeffs), tensor=True)
+    return np.moveaxis(rows, 0, -1)
+
+
+def lattice_values(f: Poly2, grid: int) -> np.ndarray:
+    """f on the grid x grid torus lattice via a zero-padded inverse FFT."""
+    n, m = f.bidegree
+    if n >= grid or m >= grid:
+        raise ValueError("grid too small for the polynomial degree")
+    padded = np.zeros((grid, grid), dtype=complex)
+    padded[: n + 1, : m + 1] = f.coeffs
+    return np.fft.ifft2(padded) * grid * grid
+
+
 def sylvester_resultant_z2(f: Poly2, g: Poly2,
                            zero_tol: float = 1e-10) -> np.ndarray:
     """Resultant of f and g in z2, a univariate polynomial in z1.
@@ -382,11 +399,8 @@ def sylvester_resultant_z2(f: Poly2, g: Poly2,
     S = deg_bound + 1
     nodes = np.exp(2j * np.pi * np.arange(S) / S)
 
-    # z2-coefficient rows of f and g evaluated at the z1 nodes
-    Vf = nodes[:, None] ** np.arange(nf + 1)[None, :]
-    Vg = nodes[:, None] ** np.arange(ng + 1)[None, :]
-    Pf = Vf @ f.coeffs          # (S, mf+1), low-first in z2
-    Pg = Vg @ g.coeffs          # (S, mg+1)
+    Pf = slice_rows(f.coeffs, nodes)    # (S, mf+1), low-first in z2
+    Pg = slice_rows(g.coeffs, nodes)    # (S, mg+1)
 
     size = mf + mg
     M = np.zeros((S, size, size), dtype=complex)

@@ -1,10 +1,17 @@
-"""Zero-location analysis on the closed bidisk and its distinguished boundary.
+"""Zero location on the closed bidisk and its distinguished boundary.
 
-The scan slices the polynomial along one variable, computes the roots of
-each univariate slice by companion-matrix eigenvalues, and classifies the
-hits into open-bidisk and closed-bidisk zeros with a hard modulus margin.
-The torus classification implements the empty / finite / curve trichotomy
-for an irreducible polynomial with no zeros inside the bidisk.
+One slice engine decides both questions for a bivariate f.  The circle
+slice p_t = f(e^{it}, .) has the Schur-Cohn matrix M(t) = A*A - B*B, whose
+negative eigenvalues count its roots in the disk (Schur-Cohn-Fujiwara), and
+which is singular exactly where p_t shares a root with its reflection.  f
+has no zero in the open bidisk iff f(., 0) has none in the disk and M(t) is
+positive semidefinite for every t; one eigenvalue test per arc between the
+angles of the roots of the z2-resultant of f and f~ - lambda f decides this.
+On a zero-free f the smallest eigenvalue touches zero at the torus zeros.
+When every slice is self-inversive, M vanishes and Cohn's criterion (all
+roots on the circle iff the derivative's roots lie in the closed disk)
+gives the same test on the reflection of df/dz2.  The torus classification
+is the empty / finite / curve trichotomy for an irreducible f.
 """
 from __future__ import annotations
 
@@ -13,12 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import batched_roots, newton_polish, roots_low_first
-from .poly2 import Poly2, UnimodularMatch, sylvester_resultant_z2, unimodular_reflection_match
+from ._roots import RELATIVE_COEFF_FLOOR, newton_polish, roots_low_first
+from .poly2 import (DEFAULT_SYMMETRY_TOL, Poly2, UnimodularMatch, lattice_values,
+                    slice_rows, sylvester_resultant_z2, unimodular_reflection_match)
 
 OPEN_MARGIN = 1e-7          # modulus band separating open from boundary roots
 CIRCLE_TOL = 1e-8           # |root| distance to the unit circle for torus zeros
 POINT_VALUE_TOL = 1e-8      # |f(p)| <= tol * scale at a reported torus zero
+
+# a Schur-Cohn eigenvalue below -_EIG_BAND * ||slice row||_1^2 is negative
+# beyond the rounding of the products that form M = A*A - B*B
+_EIG_BAND = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -27,7 +39,6 @@ class BidiskStabilityReport:
     has_zero_on_closed_bidisk: bool
     witness: tuple[complex, complex] | None
     min_modulus_estimate: float
-    grid_resolution: tuple[int, int]
 
     def to_dict(self) -> dict:
         w = None
@@ -39,7 +50,6 @@ class BidiskStabilityReport:
             "has_zero_on_closed_bidisk": self.has_zero_on_closed_bidisk,
             "witness": w,
             "min_modulus_estimate": self.min_modulus_estimate,
-            "grid_resolution": list(self.grid_resolution),
         }
 
 
@@ -73,179 +83,217 @@ class TorusZeroSet:
         }
 
 
-def _disk_nodes(radial_steps: int, angular_steps: int) -> np.ndarray:
-    """Polar grid of the closed unit disk (origin deduplicated)."""
-    r = np.linspace(0.0, 1.0, radial_steps)
-    th = np.linspace(0.0, 2 * np.pi, angular_steps, endpoint=False)
-    pts = (r[1:, None] * np.exp(1j * th)[None, :]).ravel()
-    return np.concatenate(([0.0 + 0j], pts))
+def _schur_cohn(rows: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
+    """The form A*A' - B*B' of two (S, m+1) stacks of slice rows, where A, B
+    are the Toeplitz factors of `rows` and A', B' those of `other`; with one
+    stack, the Schur-Cohn matrices M = A*A - B*B."""
+    m = rows.shape[-1] - 1
+    i, j = np.indices((m, m))
+    lower = i >= j
+    lag = np.where(lower, i - j, 0)
+
+    def factors(r):
+        return (np.where(lower, r[:, lag], 0),
+                np.where(lower, np.conj(r[:, m - lag]), 0))
+
+    (A, B), (A2, B2) = factors(rows), factors(rows if other is None else other)
+    return np.conj(np.swapaxes(A, 1, 2)) @ A2 - np.conj(np.swapaxes(B, 1, 2)) @ B2
 
 
-def _slice_coeff_rows(f: Poly2, w: np.ndarray) -> np.ndarray:
-    """Coefficients in z1 of f(., w) for each slice value w: (S, n+1)."""
-    n, m = f.bidegree
-    V = w[:, None] ** np.arange(m + 1)[None, :]
-    return V @ f.coeffs.T
+def _midpoints(angles: np.ndarray) -> np.ndarray:
+    """One point inside every arc that the sorted angles cut the circle into."""
+    nxt = np.append(angles[1:], angles[0] + 2 * np.pi)
+    return ((angles + nxt) / 2) % (2 * np.pi)
 
 
-def _min_modulus_on_grid(f: Poly2, angular: int) -> float:
-    """Min |f| over a coarse polar product grid plus the full torus grid."""
-    sub = _disk_nodes(12, 24)
-    vals = f(sub[:, None], sub[None, :])
-    best = float(np.abs(vals).min())
-    th = np.linspace(0.0, 2 * np.pi, max(angular, 32), endpoint=False)
-    ring = np.exp(1j * th)
-    vals_t = f(ring[:, None], ring[None, :])
-    return min(best, float(np.abs(vals_t).min()))
+def _crossing_angles(a: np.ndarray):
+    """(sorted angles, count) of the roots of the z2-resultant of a scaled f
+    and g = f~ - lam f, lam the unimodular projection of <f~, f>; None when
+    every circle slice is self-inversive."""
+    b = np.conj(a[::-1, ::-1])
+    ip = np.vdot(a, b)
+    g = b - (ip / abs(ip) if ip != 0 else 1.0) * a
+    if np.abs(g).max() <= DEFAULT_SYMMETRY_TOL:
+        return None
+    # Res(f, g) equals Res(f, f~) at equal degree, but stays far from the
+    # zero test when f~ is close to a multiple of f
+    res = sylvester_resultant_z2(Poly2(a), Poly2(g))
+    if res.size == 1 and res[0] == 0:
+        # M(t) has degree n in t: it vanishes iff it does at 2n+1 points
+        n = a.shape[0] - 1
+        rows = slice_rows(a, np.exp(2j * np.pi * np.arange(2 * n + 1) / (2 * n + 1)))
+        if np.abs(_schur_cohn(rows)).max() > DEFAULT_SYMMETRY_TOL:
+            raise ValueError(
+                "input not irreducible: f and its reflection share a factor "
+                "although the reflection is not a unimodular multiple of f")
+        return None
+    roots = roots_low_first(res)
+    # with no crossing the circle is one arc; cut it at 0
+    angles = np.sort(np.angle(roots) % (2 * np.pi)) if roots.size else np.zeros(1)
+    return angles, int(roots.size)
 
 
-def _scan_one_orientation(f: Poly2, w_nodes: np.ndarray):
-    """Slice along z2 = w and root-solve in z1.
+def _most_negative(a: np.ndarray, ts: np.ndarray) -> float | None:
+    """The t among ts where M(t) is most negative, or None when M(t) is
+    positive semidefinite at every t within the rounding band."""
+    rows = slice_rows(a, np.exp(1j * ts))
+    lam = np.linalg.eigvalsh(_schur_cohn(rows))[:, 0]
+    neg = lam < -_EIG_BAND * np.abs(rows).sum(axis=-1) ** 2
+    if not neg.any():
+        return None
+    return float(ts[np.flatnonzero(neg)[np.argmin(lam[neg])]])
 
-    Returns the closed-bidisk hits (z1, z2) and, per hit, whether it lies in
-    the open bidisk.
-    """
-    rows = _slice_coeff_rows(f, w_nodes)
-    roots = batched_roots(rows)
-    hits: list[tuple[complex, complex]] = []
-    is_open: list[bool] = []
-    for s, rts in enumerate(roots):
-        w = w_nodes[s]
-        if rts is None:  # f(., w) identically zero: the whole line vanishes
-            hits.append((0.0 + 0j, complex(w)))
-            is_open.append(abs(w) < 1.0 - OPEN_MARGIN)
+
+def _slopes(a: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """lambda_min'(t) = v* M'(t) v, v the unit eigenvector of the smallest
+    eigenvalue of M(t); M' comes from the t-derivative of the slice rows."""
+    z1 = np.exp(1j * ts)
+    rows = slice_rows(a, z1)
+    X = _schur_cohn(slice_rows(1j * np.arange(a.shape[0])[:, None] * a, z1), rows)
+    v = np.linalg.eigh(_schur_cohn(rows))[1][:, :, 0]
+    return 2 * np.einsum("si,sij,sj->s", np.conj(v), X, v).real
+
+
+def _touch_points(a: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Local minima of lambda_min(t), bracketed on the angles and arc
+    midpoints and refined by 60 vectorised bisections."""
+    ts = np.sort(np.concatenate([angles, _midpoints(angles)]))
+    d = _slopes(a, ts)
+    starts = np.flatnonzero((d < 0) & (np.roll(d, -1) >= 0))
+    lo = ts[starts]
+    hi = np.append(ts, ts[0] + 2 * np.pi)[starts + 1]
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        down = _slopes(a, mid) < 0
+        lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
+    return (lo + hi) / 2
+
+
+def _torus_points(f: Poly2, ts: np.ndarray) -> tuple[list, bool]:
+    """Torus zeros on the circle slices at the angles ts, sorted by angle,
+    and whether one of those slices vanishes identically."""
+    z1s = np.exp(1j * ts)
+    points: list[tuple[complex, complex]] = []
+    vanishing = False
+    for z1, row in zip(z1s, slice_rows(f.coeffs, z1s)):
+        if np.abs(row).max() <= RELATIVE_COEFF_FLOOR * f.scale:
+            vanishing = True
             continue
-        if rts.size == 0:
-            continue
-        mods = np.abs(rts)
-        for r, md in zip(rts, mods):
-            if md <= 1.0 + OPEN_MARGIN:
-                r = newton_polish(rows[s], r)
-                hits.append((complex(r), complex(w)))
-                is_open.append(abs(r) < 1.0 - OPEN_MARGIN and abs(w) < 1.0 - OPEN_MARGIN)
-    return hits, is_open
+        for z2 in roots_low_first(row):
+            if abs(abs(z2) - 1.0) <= 1e-6:
+                z2 = z2 / abs(z2)
+                if abs(f(z1, z2)) <= POINT_VALUE_TOL * f.scale:
+                    p = (complex(z1), complex(z2))
+                    if not any(abs(p[0] - q[0]) + abs(p[1] - q[1]) < 1e-6 for q in points):
+                        points.append(p)
+    # angles a rounding error below 2 pi sort as 0
+    points.sort(key=lambda p: tuple((np.angle(z) + 1e-12) % (2 * np.pi) for z in p))
+    return points, vanishing
 
 
-def bidisk_zero_scan(f: Poly2, radial_steps: int = 64,
-                     angular_steps: int = 128) -> BidiskStabilityReport:
-    """Locate zeros of f on the open and closed bidisk by slice root scans.
+def _open_witness(f: Poly2, t: float) -> tuple[complex, complex] | None:
+    """A zero (r e^{it}, z2) in the open bidisk, continued from the slice
+    root in the disk at angle t."""
+    rts = roots_low_first(slice_rows(f.coeffs, np.exp(1j * t)))
+    w = complex(rts[np.argmin(np.abs(rts))])
+    s = (1.0 - abs(w)) / 2
+    while s > 1e-15:
+        z1 = complex((1.0 - s) * np.exp(1j * t))
+        z2 = newton_polish(slice_rows(f.coeffs, z1), w)
+        if abs(z2) < 1.0 and abs(f(z1, z2)) <= 1e-6 * f.scale:
+            return z1, z2
+        s /= 2
+    return None
 
-    The scan is run in both variable orders and merged, so the report is
-    symmetric under swapping z1 and z2.  Univariate input is handled exactly
-    through its roots.
+
+def _min_modulus(f: Poly2, zeros) -> float:
+    """min |f| over the 128 x 128 torus lattice and the given points."""
+    return float(min([np.abs(lattice_values(f, 128)).min()] + [abs(f(*p)) for p in zeros]))
+
+
+def _slice_engine(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
+    """Both zero reports of a bivariate f."""
+    a = f.coeffs / f.scale
+    # a zero of f(., 0) in the disk is a witness
+    rts = roots_low_first(a[:, 0]) if np.any(a[:, 0]) else np.zeros(1)
+    inner = rts[np.abs(rts) < 1.0 - OPEN_MARGIN]
+    witness = (complex(inner[0]), 0j) if inner.size else None
+
+    crossing = _crossing_angles(a)
+    if crossing is None:
+        # every slice is self-inversive: Cohn's criterion on the slices of
+        # df/dz2, which passes at once when they are constant in z2
+        h = f.partial_derivative(2).reflect()
+        hc = h.coeffs / h.scale
+        h_cross = _crossing_angles(hc) if h.bidegree[1] else None
+        t_neg = None if h_cross is None else _most_negative(hc, _midpoints(h_cross[0]))
+        # a sample of the zero curve: the slice roots at z1 = 1
+        points, vanishing = _torus_points(f, np.zeros(1))
+        torus = TorusZeroSet(TorusZeroKind.CURVE, symmetry=unimodular_reflection_match(f))
+    else:
+        angles, candidates = crossing
+        t_neg = _most_negative(a, _midpoints(angles))
+        # on a zero-free f every torus zero is a tangential contact, found as a
+        # touch point; where f has open zeros, slice roots also cross the
+        # circle transversally, at simple resultant roots
+        ts = _touch_points(a, angles)
+        if t_neg is not None:
+            ts = np.concatenate([ts, angles])
+        points, vanishing = _torus_points(f, ts)
+        torus = TorusZeroSet(TorusZeroKind.FINITE if points else TorusZeroKind.EMPTY,
+                             points=tuple(points), candidates_checked=candidates)
+    if witness is None and t_neg is not None:
+        witness = _open_witness(f, t_neg)
+    has_open = t_neg is not None or witness is not None
+    report = BidiskStabilityReport(
+        has_zero_in_open_bidisk=has_open,
+        has_zero_on_closed_bidisk=has_open or bool(points) or crossing is None or vanishing,
+        witness=witness or (points[0] if points else None),
+        min_modulus_estimate=_min_modulus(f, points + ([witness] if witness else [])),
+    )
+    return report, torus
+
+
+def bidisk_zero_scan(f: Poly2) -> BidiskStabilityReport:
+    """Decide whether f vanishes on the open and on the closed bidisk.
+
+    Bivariate input goes through the slice engine, exact up to rounding;
+    univariate input through its roots.  The witness is a zero in the open
+    bidisk if there is one, else a zero found on the closed bidisk.  The
+    minimum modulus is over a 128 x 128 torus lattice and the zeros found;
+    for zero-free f it estimates the minimum over the closed bidisk
+    (maximum principle).
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    if radial_steps < 8 or angular_steps < 8:
-        raise ValueError("steps must be at least 8")
-    scale = f.scale
-    grid = (radial_steps, angular_steps)
+    if not f.is_univariate:
+        return _slice_engine(f)[0]
 
-    n, m = f.bidegree
-    if n == 0 and m == 0:
-        return BidiskStabilityReport(False, False, None, abs(complex(f.coeffs[0, 0])), grid)
-
-    min_mod = _min_modulus_on_grid(f, angular_steps)
-
-    if f.is_univariate:
-        c = f.univariate_coeffs()
-        rts = roots_low_first(c)
-        uni_axis = 1 if m == 0 else 2
-        hits, is_open = [], []
-        for r in rts:
-            if abs(r) <= 1.0 + OPEN_MARGIN:
-                hits.append((complex(r), 0j) if uni_axis == 1 else (0j, complex(r)))
-                is_open.append(abs(r) < 1.0 - OPEN_MARGIN)
-    else:
-        w_nodes = _disk_nodes(radial_steps, angular_steps)
-        hits_a, open_a = _scan_one_orientation(f, w_nodes)
-        hits_b, open_b = _scan_one_orientation(f.swap_variables(), w_nodes)
-        hits = hits_a + [(w, r) for (r, w) in hits_b]
-        is_open = open_a + open_b
-
-    # one evaluation over all closed hits; the witness is the best open hit
-    # if one is a zero to 1e-6 * scale, else the best closed hit
-    witness = None
-    if hits:
-        pts = np.array(hits)
-        fv = f(pts[:, 0], pts[:, 1])
-        vals = np.hypot(fv.real, fv.imag)  # rounds like abs() of a Python complex
-        for mask in (np.array(is_open), np.full(len(hits), True)):
-            if mask.any():
-                i = int(np.flatnonzero(mask)[np.argmin(vals[mask])])
-                if vals[i] <= 1e-6 * scale:
-                    witness = hits[i]
-                    break
-        min_mod = min(min_mod, float(vals.min()))
+    roots = [complex(r) for r in roots_low_first(f.univariate_coeffs())
+             if abs(r) <= 1.0 + OPEN_MARGIN]
+    hits = [(r, 0j) if f.bidegree[1] == 0 else (0j, r) for r in roots]
+    is_open = [abs(r) < 1.0 - OPEN_MARGIN for r in roots]
+    # every hit is a root; the witness is an open one when there is one
+    witness = next((h for h, o in zip(hits, is_open) if o), hits[0] if hits else None)
     return BidiskStabilityReport(
         has_zero_in_open_bidisk=any(is_open),
         has_zero_on_closed_bidisk=bool(hits),
         witness=witness,
-        min_modulus_estimate=float(min_mod),
-        grid_resolution=grid,
+        min_modulus_estimate=_min_modulus(f, hits),
     )
-
-
-def _unimodular_z2_roots(f: Poly2, z1: complex, tol: float = 1e-6) -> np.ndarray:
-    c = (z1 ** np.arange(f.coeffs.shape[0])) @ f.coeffs
-    rts = roots_low_first(c)
-    if rts.size == 0:
-        return rts
-    return rts[np.abs(np.abs(rts) - 1.0) <= tol]
-
-
-def _circle_distance_of_best_root(f: Poly2, t: float) -> float:
-    c = (np.exp(1j * t) ** np.arange(f.coeffs.shape[0])) @ f.coeffs
-    rts = roots_low_first(c)
-    if rts.size == 0:
-        return np.inf
-    return float(np.abs(np.abs(rts) - 1.0).min())
-
-
-def _golden_minimize(fun, lo: float, hi: float, iters: int = 80) -> float:
-    """Derivative-free golden-section minimizer on [lo, hi]."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-        if b - a < 1e-13:
-            break
-    return 0.5 * (a + b)
 
 
 def torus_zero_classification(f: Poly2, *, stability_check: bool = True,
                               tol: float = CIRCLE_TOL) -> TorusZeroSet:
     """Classify Z(f) on the torus as empty, a finite point list, or a curve.
 
-    Irreducibility of f is a documented precondition.  A bivariate f whose
-    reflection matches a unimodular multiple vanishes along curves; otherwise
-    the common zeros with the reflection are isolated and are recovered from
-    the z2-resultant of (f, f~), refined on the circle, and verified against
-    |f| and |f~|.
+    Irreducibility of f is a documented precondition.  For bivariate f the
+    slice engine decides: self-inversive circle slices (f~ = lambda f) give
+    a curve, otherwise it lists the isolated torus zeros.  With
+    `stability_check`, zeros inside the bidisk raise.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    scale = f.scale
-    n, m = f.bidegree
-
-    if stability_check and not f.is_univariate:
-        scan = bidisk_zero_scan(f, 32, 64)
-        if scan.has_zero_in_open_bidisk:
-            raise ValueError("polynomial has zeros inside the bidisk")
-
-    if n == 0 and m == 0:
-        return TorusZeroSet(TorusZeroKind.EMPTY)
-
     if f.is_univariate:
         rts = roots_low_first(f.univariate_coeffs())
         if stability_check and np.any(np.abs(rts) < 1.0 - OPEN_MARGIN):
@@ -256,55 +304,7 @@ def torus_zero_classification(f: Poly2, *, stability_check: bool = True,
                                 candidates_checked=int(rts.size))
         return TorusZeroSet(TorusZeroKind.EMPTY, candidates_checked=int(rts.size))
 
-    match = unimodular_reflection_match(f)
-    if match.matches:
-        return TorusZeroSet(TorusZeroKind.CURVE, symmetry=match)
-
-    ft = f.reflect()
-    res = sylvester_resultant_z2(f, ft)
-    if res.size == 1 and res[0] == 0:
-        raise ValueError(
-            "input not irreducible: f and its reflection share a factor "
-            "although the reflection is not a unimodular multiple of f")
-
-    cand = roots_low_first(res)
-    near = cand[np.abs(np.abs(cand) - 1.0) <= 1e-4] if cand.size else cand
-
-    # cluster multiple-root scatter, then refine each cluster on the circle
-    clusters: list[list[complex]] = []
-    for r in near:
-        for cl in clusters:
-            if abs(r - cl[0]) < 1e-5:
-                cl.append(r)
-                break
-        else:
-            clusters.append([r])
-
-    points: list[tuple[complex, complex]] = []
-    for cl in clusters:
-        # the cluster mean cancels the square-root scatter of multiple roots;
-        # fall back to a 1-D modulus minimization when it is not good enough
-        t0 = float(np.angle(np.mean(cl)))
-        candidates = [t0]
-        if _circle_distance_of_best_root(f, t0) > 1e-12:
-            candidates.append(_golden_minimize(
-                lambda t: _circle_distance_of_best_root(f, t), t0 - 1e-2, t0 + 1e-2))
-        t_star = min(candidates, key=lambda t: _circle_distance_of_best_root(f, t))
-        z1 = np.exp(1j * t_star)
-        z2s = _unimodular_z2_roots(f, z1, tol=1e-5)
-        for z2 in z2s:
-            z2 = z2 / abs(z2)
-            if abs(f(z1, z2)) <= POINT_VALUE_TOL * scale:
-                points.append((complex(z1), complex(z2)))
-
-    # deduplicate
-    unique: list[tuple[complex, complex]] = []
-    for p in points:
-        if not any(abs(p[0] - q[0]) + abs(p[1] - q[1]) < 1e-6 for q in unique):
-            unique.append(p)
-    unique.sort(key=lambda p: (np.angle(p[0]) % (2 * np.pi), np.angle(p[1]) % (2 * np.pi)))
-
-    if unique:
-        return TorusZeroSet(TorusZeroKind.FINITE, points=tuple(unique),
-                            candidates_checked=int(cand.size))
-    return TorusZeroSet(TorusZeroKind.EMPTY, candidates_checked=int(cand.size))
+    report, torus = _slice_engine(f)
+    if stability_check and report.has_zero_in_open_bidisk:
+        raise ValueError("polynomial has zeros inside the bidisk")
+    return torus

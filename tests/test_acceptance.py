@@ -70,7 +70,7 @@ def test_acceptance_2_determinantal_exactness(rng):
         n = int(rng.integers(1, size))
         f = polynomial_from_unitary(DetRep(1.0, random_unitary(size, rng),
                                            n, size - n))
-        scan = bidisk_zero_scan(f, 10, 20)
+        scan = bidisk_zero_scan(f)
         open_zero_found |= scan.has_zero_in_open_bidisk
         th = rng.uniform(0.0, TWO_PI, (40, 2))
         z1, z2 = np.exp(1j * th[:, 0]), np.exp(1j * th[:, 1])

@@ -5,6 +5,7 @@ from bicyclic.capacity import (TrendVerdict, cofactor_experiment, decay_fit,
                                fourier_coefficients, make_bump_measure,
                                make_uniform_measure, noncyclicity_certificate,
                                riesz_energy, trend_verdict)
+from bicyclic.classifier import classify
 from bicyclic.curvegeom import closed_form_branch_fa, fa_poly, trace_branch
 from bicyclic.poly2 import Poly2
 
@@ -190,6 +191,15 @@ class TestCofactor:
         report = cofactor_experiment(Poly2([[3, 1], [1, 0]]), [], 0, 1, 256)
         assert report.verdicts[1] is TrendVerdict.CONVERGENT
         assert report.verdicts[2] is TrendVerdict.CONVERGENT
+
+    def test_sup_at_verdict_zeros(self):
+        # the verdict's four zeros (+-1, +-1) of 2 - z1^2 - z2^2 explain every
+        # lattice zero; sup |Q0^4 / f| is 2^16 / 4, at z1 = z2 = i
+        f = Poly2([[2, 0, -1], [0, 0, 0], [-1, 0, 0]])
+        zeros = classify([f]).per_factor[0].torus_zeros.points
+        assert len(zeros) == 4
+        report = cofactor_experiment(f, list(zeros), 1, 4, 512)
+        assert report.sup_norm == pytest.approx(16384.0, rel=1e-9)
 
     def test_unexplained_zero_rejected(self, two_minus):
         with pytest.raises(ValueError, match="away from"):

@@ -169,7 +169,7 @@ class TestGeneratedFamilies:
             n = int(rng.integers(1, size))
             f = polynomial_from_unitary(DetRep(1.0, random_unitary(size, rng),
                                                n, size - n))
-            scan = bidisk_zero_scan(f, 10, 24)
+            scan = bidisk_zero_scan(f)
             assert not scan.has_zero_in_open_bidisk
             z1, z2 = torus_samples(rng, 60)
             ft = f.reflect()

@@ -1,70 +1,76 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bicyclic.classifier import Threshold, classify
+from bicyclic.curvegeom import fa_poly
 from bicyclic.detrep import DetRep, polynomial_from_unitary, random_unitary
 from bicyclic.poly2 import Poly2
 from bicyclic.stability import (TorusZeroKind, bidisk_zero_scan,
                                 torus_zero_classification)
 
 
-def scalar_loop_reference(f, radial_steps=64, angular_steps=128):
-    """Reference witness and min-modulus: one scalar |f| call per hit, on the
-    hits of the scan's own slices."""
-    from bicyclic._roots import roots_low_first
-    from bicyclic.stability import (OPEN_MARGIN, _disk_nodes, _min_modulus_on_grid,
-                                    _scan_one_orientation)
-    if f.is_univariate:
-        hits, is_open = [], []
-        for r in roots_low_first(f.univariate_coeffs()):
-            if abs(r) <= 1.0 + OPEN_MARGIN:
-                hits.append((complex(r), 0j) if f.bidegree[1] == 0 else (0j, complex(r)))
-                is_open.append(abs(r) < 1.0 - OPEN_MARGIN)
-    else:
-        w = _disk_nodes(radial_steps, angular_steps)
-        hits, is_open = _scan_one_orientation(f, w)
-        hits_b, open_b = _scan_one_orientation(f.swap_variables(), w)
-        hits += [(b, a) for (a, b) in hits_b]
-        is_open += open_b
+def grid_scan_oracle(f, radial_steps=64, angular_steps=128):
+    """Sampled open-bidisk zero test, independent of the Schur-Cohn engine.
 
-    def best(pts):
-        if not pts:
-            return None
-        vals = [abs(f(p[0], p[1])) for p in pts]
-        i = int(np.argmin(vals))
-        return pts[i] if vals[i] <= 1e-6 * f.scale else None
+    Slices along z2 = w for w on a polar grid of the disk, root-solves in
+    z1 and flags a root with both moduli below 1 - OPEN_MARGIN; then the
+    same with the variables swapped.  A pocket of zeros thinner than the
+    grid spacing escapes it.
+    """
+    from bicyclic._roots import batched_roots
+    from bicyclic.poly2 import slice_rows
+    from bicyclic.stability import OPEN_MARGIN
+    r = np.linspace(0.0, 1.0, radial_steps)[1:]
+    th = np.linspace(0.0, 2 * np.pi, angular_steps, endpoint=False)
+    w = np.concatenate(([0j], (r[:, None] * np.exp(1j * th)[None, :]).ravel()))
+    inner = np.abs(w) < 1.0 - OPEN_MARGIN
+    for g in (f, f.swap_variables()):
+        for s, rts in enumerate(batched_roots(slice_rows(g.coeffs.T, w))):
+            if rts is None:
+                if inner[s]:
+                    return True
+            elif inner[s] and np.any(np.abs(rts) < 1.0 - OPEN_MARGIN):
+                return True
+    return False
 
-    witness = best([p for p, o in zip(hits, is_open) if o]) or best(hits)
-    min_mod = _min_modulus_on_grid(f, angular_steps)
-    if hits:
-        min_mod = min(min_mod, min(abs(f(p[0], p[1])) for p in hits))
-    return witness, float(min_mod)
+
+def two_minus_powers(k, d=0.0):
+    """2 - z1^k - (1 + d) z2^k."""
+    a = np.zeros((k + 1, k + 1), dtype=complex)
+    a[0, 0], a[k, 0], a[0, k] = 2.0, -1.0, -(1.0 + d)
+    return Poly2(a)
+
+
+def radial(f, r):
+    """f(r z1, r z2)."""
+    n, m = f.bidegree
+    return Poly2(f.coeffs * r ** np.add.outer(np.arange(n + 1), np.arange(m + 1)))
 
 
 class TestBidiskScan:
-    def test_matches_scalar_loop_reference(self, rng):
+    def test_open_flag_matches_grid_scan_oracle(self, rng):
         polys = [Poly2([[2, -1], [-1.1, 0]]), Poly2([[0.5, 1]]), Poly2([[1, 0], [0, 1]])]
-        for shape in [(4, 1), (1, 4), (3, 3)] * 6:
+        for shape in [(4, 1), (1, 4), (3, 3), (2, 4)] * 6:
             polys.append(Poly2(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
         for f in polys:
-            r = bidisk_zero_scan(f, 24, 48)
-            witness, min_mod = scalar_loop_reference(f, 24, 48)
-            assert r.witness == witness
-            assert r.min_modulus_estimate == min_mod
+            assert bidisk_zero_scan(f).has_zero_in_open_bidisk == grid_scan_oracle(f)
 
     def test_z1z2_open_zero(self):
-        r = bidisk_zero_scan(Poly2([[0, 0], [0, 1]]), 16, 32)
+        r = bidisk_zero_scan(Poly2([[0, 0], [0, 1]]))
         assert r.has_zero_in_open_bidisk and r.has_zero_on_closed_bidisk
         z1, z2 = r.witness
         f = Poly2([[0, 0], [0, 1]])
         assert abs(f(z1, z2)) <= 1e-6 * f.scale
 
     def test_triangle_inequality_clear(self):
-        r = bidisk_zero_scan(Poly2([[3, 1], [1, 0]]), 16, 32)
+        r = bidisk_zero_scan(Poly2([[3, 1], [1, 0]]))
         assert not r.has_zero_on_closed_bidisk
         assert r.min_modulus_estimate >= 0.9
 
     def test_f0_boundary_only(self, f0):
-        r = bidisk_zero_scan(f0, 16, 32)
+        r = bidisk_zero_scan(f0)
         assert not r.has_zero_in_open_bidisk
         assert r.has_zero_on_closed_bidisk
 
@@ -74,7 +80,7 @@ class TestBidiskScan:
             f = random_poly(rng, 3)
             if f.is_zero:
                 continue
-            r = bidisk_zero_scan(f, 12, 16)
+            r = bidisk_zero_scan(f)
             assert r.has_zero_on_closed_bidisk or not r.has_zero_in_open_bidisk
 
     def test_symmetric_under_swap(self, rng):
@@ -83,36 +89,32 @@ class TestBidiskScan:
             f = random_poly(rng, 3)
             if f.is_zero:
                 continue
-            a = bidisk_zero_scan(f, 12, 16)
-            b = bidisk_zero_scan(f.swap_variables(), 12, 16)
+            a = bidisk_zero_scan(f)
+            b = bidisk_zero_scan(f.swap_variables())
             assert a.has_zero_in_open_bidisk == b.has_zero_in_open_bidisk
 
     def test_univariate_exact(self):
-        inner = bidisk_zero_scan(Poly2([[-0.5], [1.0]]), 16, 32)   # z1 - 0.5
+        inner = bidisk_zero_scan(Poly2([[-0.5], [1.0]]))   # z1 - 0.5
         assert inner.has_zero_in_open_bidisk
-        circle = bidisk_zero_scan(Poly2([[-1.0], [1.0]]), 16, 32)  # z1 - 1
+        circle = bidisk_zero_scan(Poly2([[-1.0], [1.0]]))  # z1 - 1
         assert circle.has_zero_on_closed_bidisk and not circle.has_zero_in_open_bidisk
-        outside = bidisk_zero_scan(Poly2([[-2.0], [1.0]]), 16, 32)
+        outside = bidisk_zero_scan(Poly2([[-2.0], [1.0]]))
         assert not outside.has_zero_on_closed_bidisk
 
     def test_degenerate_slice_line(self):
         # (1 - z2)(2 - z1) vanishes on the whole line z2 = 1
         f = Poly2([[1, -1]]) * Poly2([[2], [-1]])
-        r = bidisk_zero_scan(f, 16, 32)
+        r = bidisk_zero_scan(f)
         assert r.has_zero_on_closed_bidisk and not r.has_zero_in_open_bidisk
 
     def test_constant(self):
-        r = bidisk_zero_scan(Poly2.constant(2.0), 16, 32)
+        r = bidisk_zero_scan(Poly2.constant(2.0))
         assert not r.has_zero_on_closed_bidisk
         assert r.min_modulus_estimate == 2.0
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             bidisk_zero_scan(Poly2.zero())
-
-    def test_steps_validated(self, f0):
-        with pytest.raises(ValueError):
-            bidisk_zero_scan(f0, 4, 32)
 
     def test_hurwitz_no_zeros_on_mixed_boundary(self):
         # irreducible bivariate with no open-bidisk zeros: slices along the
@@ -197,3 +199,72 @@ class TestTorusClassification:
         assert len(tz.points) == 1
         p = tz.points[0]
         assert abs(p[0] - zeta) < 1e-6 and abs(p[1] - 1) < 1e-6
+
+
+class TestSliceEngine:
+    @pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4, 1e-6, 1e-8])
+    def test_thin_interior_pocket(self, d):
+        # 2 - z1 - (1 + d) z2 vanishes at z1 = 1 - d/4, z2 = (2 - z1)/(1 + d)
+        f = two_minus_powers(1, d)
+        v = classify([f])
+        assert v.threshold is Threshold.NOT_CYCLIC_ANY_ALPHA
+        z1, z2 = v.per_factor[0].stability.witness
+        assert abs(z1) < 1 and abs(z2) < 1
+        assert abs(f(z1, z2)) <= 1e-6 * f.scale
+
+    @pytest.mark.parametrize("d", [-1e-2, -1e-6])
+    def test_pocket_closed(self, d):
+        # |f| >= -d > 0 on the closed bidisk
+        f = two_minus_powers(1, d)
+        assert not bidisk_zero_scan(f).has_zero_on_closed_bidisk
+        assert classify([f]).threshold is Threshold.CYCLIC_ALL_ALPHA
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
+    def test_power_torus_points(self, k):
+        f = two_minus_powers(k)
+        tz = torus_zero_classification(f)
+        assert tz.kind is TorusZeroKind.FINITE and len(tz.points) == k * k
+        roots = np.exp(2j * np.pi * np.arange(k) / k)
+        for p in tz.points:
+            assert np.abs(roots - p[0]).min() <= 1e-10
+            assert np.abs(roots - p[1]).min() <= 1e-10
+        assert classify([f]).threshold is Threshold.CYCLIC_IFF_ALPHA_LEQ_ONE
+
+    @pytest.mark.parametrize("r, expected", [(1 - 1e-6, Threshold.CYCLIC_ALL_ALPHA),
+                                             (1 + 1e-6, Threshold.NOT_CYCLIC_ANY_ALPHA)])
+    def test_near_curve_radii(self, rng, r, expected):
+        polys = [fa_poly(0.5)]
+        for _ in range(10):
+            polys.append(polynomial_from_unitary(DetRep(1.0, random_unitary(6, rng), 3, 3)))
+        for f in polys:
+            assert classify([radial(f, r)]).threshold is expected
+
+
+def _invariance_input(kind, k, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        shape = tuple(rng.integers(2, 4, size=2))
+        return Poly2(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if kind == "powers":
+        return two_minus_powers(k)
+    n = int(rng.integers(1, 3))
+    f = polynomial_from_unitary(DetRep(1.0, random_unitary(n + k, rng), n, k))
+    return radial(f, 0.9 if kind == "inner" else 1 / 0.9)
+
+
+@given(st.sampled_from(["random", "powers", "inner", "outer"]), st.integers(1, 3),
+       st.integers(0, 2**16), st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi))
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_swap_and_rotation_invariance(kind, k, seed, th1, th2):
+    f = _invariance_input(kind, k, seed)
+    n, m = f.bidegree
+    rot = Poly2(f.coeffs * np.exp(1j * np.add.outer(th1 * np.arange(n + 1),
+                                                    th2 * np.arange(m + 1))))
+
+    def signature(g):
+        tz = torus_zero_classification(g, stability_check=False)
+        return bidisk_zero_scan(g).has_zero_in_open_bidisk, tz.kind, len(tz.points)
+
+    base = signature(f)
+    assert signature(f.swap_variables()) == base
+    assert signature(rot) == base

@@ -124,16 +124,18 @@ def fourier_coefficients(mu: CurveMeasure, K: int) -> FourierTable:
     """mu_hat(k,l) = integral exp(-i(k t + l m(t))) psi(t) dt by trapezoid.
 
     Requires at least 8K branch nodes to keep the highest requested mode
-    well resolved.  Conjugate symmetry is enforced exactly.
+    well resolved.  The sum runs over the nodes where psi is nonzero, since
+    the others add exact zeros: a bump pays only for its support, a uniform
+    measure for every node.  Conjugate symmetry is enforced exactly.
     """
     branch = mu.branch
     if branch.t.size < 8 * K:
         raise ValueError(f"branch resolution {branch.t.size} too low for K = {K}")
-    h = branch.spacing
+    support = np.flatnonzero(mu.psi)
     ks = np.arange(-K, K + 1)
-    E1 = np.exp(-1j * np.outer(ks, branch.t))          # (2K+1, M)
-    E2 = np.exp(-1j * np.outer(ks, branch.m))
-    table = (E1 * (mu.psi * h)[None, :]) @ E2.T
+    E1 = np.exp(-1j * np.outer(ks, branch.t[support]))    # (2K+1, support size)
+    E2 = np.exp(-1j * np.outer(ks, branch.m[support]))
+    table = (E1 * (mu.psi[support] * branch.spacing)[None, :]) @ E2.T
     table = 0.5 * (table + np.conj(table[::-1, ::-1]))
     return FourierTable(K, table)
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from .capacity import EnergyReport, TrendVerdict, noncyclicity_certificate
 from .dirichlet import AlphaSpace, distance_profile
 from .poly2 import Poly2
-from .stability import (BidiskStabilityReport, TorusZeroKind, TorusZeroSet,
-                        bidisk_zero_scan, torus_zero_classification)
+from .stability import BidiskStabilityReport, TorusZeroKind, TorusZeroSet, zero_reports
 
 
 class Threshold(enum.IntEnum):
@@ -103,11 +102,10 @@ class CyclicityVerdict:
 
 
 def _classify_factor(f: Poly2) -> FactorAnalysis:
-    scan = bidisk_zero_scan(f)
+    scan, tz = zero_reports(f)
     if scan.has_zero_in_open_bidisk:
         return FactorAnalysis(f, Threshold.NOT_CYCLIC_ANY_ALPHA, scan, None,
                               "zero inside the open bidisk")
-    tz = torus_zero_classification(f, stability_check=False)
 
     if tz.kind is TorusZeroKind.EMPTY:
         if scan.has_zero_on_closed_bidisk:

@@ -26,7 +26,7 @@ from .detrep import (DetRep, load_pair_dataset, polynomial_from_unitary,
                      random_unitary)
 from .dirichlet import AlphaSpace, distance_profile, profile_csv_rows
 from .poly2 import Poly2
-from .stability import TorusZeroKind, bidisk_zero_scan, torus_zero_classification
+from .stability import TorusZeroKind, torus_zero_classification, zero_reports
 
 EXIT_CODES = {
     Threshold.CYCLIC_ALL_ALPHA: 0,
@@ -153,8 +153,7 @@ def _cmd_detgen(cfg: RunConfig, args) -> int:
 
 def _cmd_torus_zeros(cfg: RunConfig, args) -> int:
     f = _load_poly(args.poly)
-    scan = bidisk_zero_scan(f)
-    tz = torus_zero_classification(f, stability_check=False)
+    scan, tz = zero_reports(f)
     doc = {"config": cfg.to_dict(), "stability": scan.to_dict(),
            "torus_zeros": tz.to_dict()}
     _write_json(cfg.out_dir / "torus_zeros.json", doc)

@@ -4,8 +4,12 @@ The norm of f = sum a[k,l] z1^k z2^l in the space with parameter alpha is
 sqrt(sum (k+1)^alpha (l+1)^alpha |a[k,l]|^2).  The optimal approximant of
 degree cap N minimizes ||p f - 1|| over polynomials p supported on total
 degree i + j <= N; it is computed from the normal equations with the Gram
-matrix of the shifted copies of f.  A whole distance profile is solved from
-one Cholesky factor of the Gram matrix at the largest cap.
+matrix of the shifted copies of f.  That matrix is banded: the shifts by
+(i, j) and (i', j') overlap only when |i - i'| <= n and |j - j'| <= m, and
+the weight is a product of one weight per variable, so every offset of the
+band is one small Hankel product of f's weighted autocorrelation.  The
+arithmetic is real when f has real coefficients.  A whole distance profile
+shares one Gram matrix, built at the largest cap.
 """
 from __future__ import annotations
 
@@ -129,16 +133,55 @@ def optimal_approximant(f: Poly2, space: AlphaSpace, degree_cap: int) -> Approxi
     return distance_profile(f, space, [degree_cap])[0]
 
 
+def gram_matrix(f: Poly2, space: AlphaSpace, cap: int) -> np.ndarray:
+    """Gram matrix <z^b' f, z^b f> of the shifts of f by the total-degree
+    basis of `cap`, real when f has real coefficients.
+
+    The entry for b = (i, j), b' = (i + d, j + e) is
+
+        sum_{p,q} w_{p+i} w_{q+j} conj(a[p,q]) a[p-d,q-e] = (Hk C Hl^T)[i, j]
+
+    with the Hankel matrices Hk[i, p] = w_{p+i}, Hl[j, q] = w_{q+j} of the
+    weight in each variable and f's autocorrelation term
+    C[p, q] = conj(a[p,q]) a[p-d,q-e], which vanishes unless |d| <= n and
+    |e| <= m.  Each of those offsets is one small product, scattered into
+    the band.
+    """
+    a = f.coeffs if np.any(f.coeffs.imag) else f.coeffs.real
+    n, m = a.shape[0] - 1, a.shape[1] - 1
+    bi, bj = np.array(_total_degree_basis(cap)).T
+
+    def hankel(deg):
+        w = (np.arange(deg + cap + 1) + 1.0) ** space.alpha
+        return w[np.add.outer(np.arange(cap + 1), np.arange(deg + 1))]
+
+    Hk, Hl = hankel(n), hankel(m)
+    # a inside a zero frame, so each shifted copy is one slice
+    framed = np.zeros((3 * n + 1, 3 * m + 1), dtype=a.dtype)
+    framed[n: 2 * n + 1, m: 2 * m + 1] = a
+    index = np.full((cap + 1, cap + 1), -1)
+    index[bi, bj] = np.arange(bi.size)
+    G = np.zeros((bi.size, bi.size), dtype=a.dtype)
+    for d in range(-n, n + 1):
+        for e in range(-m, m + 1):
+            C = np.conj(a) * framed[n - d: 2 * n + 1 - d, m - e: 2 * m + 1 - e]
+            T = Hk @ C @ Hl.T
+            i, j = bi + d, bj + e
+            ok = (i >= 0) & (j >= 0) & (i + j <= cap)
+            G[np.flatnonzero(ok), index[i[ok], j[ok]]] = T[bi[ok], bj[ok]]
+    return G
+
+
 def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResult]:
     """Optimal approximants for a strictly increasing list of degree caps.
 
     The total-degree basis is ordered by degree, so the basis of each cap is
-    a prefix of the basis at max(caps): its Gram matrix is a leading block
-    of the largest one, and so is its Cholesky factor.  One factorization
-    serves every cap; each cap's normal equations are solved on the leading
-    block, and the distance is evaluated directly from the residual
-    coefficients.  `gram_condition` is the exact 2-norm condition number of
-    the cap's Gram block.
+    a prefix of the basis at max(caps) and its Gram matrix is a leading
+    block of the largest one.  Each cap costs one `eigvalsh` of its block,
+    which gives `gram_condition` (the exact 2-norm condition number
+    lambda_max / lambda_min) and rejects a block that is not positive
+    definite, and one linear solve.  The distance is evaluated directly from
+    the residual coefficients.
     """
     caps = list(caps)
     if any(b <= a for a, b in zip(caps, caps[1:])):
@@ -149,29 +192,21 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
         raise ValueError("zero polynomial")
     if caps[0] < 0:
         raise ValueError("degree cap must be nonnegative")
-    n, m = f.bidegree
     basis = _total_degree_basis(caps[-1])
-    K, L = n + caps[-1] + 1, m + caps[-1] + 1
-    W = space.weight_grid((K, L)).ravel()
-
-    shifts = np.zeros((len(basis), K, L), dtype=complex)
-    for b, (i, j) in enumerate(basis):
-        shifts[b, i: i + n + 1, j: j + m + 1] = f.coeffs
-    A = shifts.reshape(len(basis), K * L)
-    G = (np.conj(A) * W) @ A.T
-    rhs = np.conj(A[:, 0]) * W[0]
-    try:
-        Lc = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            f"singular Gram matrix (condition estimate {np.linalg.cond(G):.3e})") from None
+    G = gram_matrix(f, space, caps[-1])
+    # only the shift by (0, 0) has a constant term: <1, z^b f> = conj(a00) e_0
+    rhs = np.zeros(len(basis), dtype=G.dtype)
+    a00 = f.coeffs[0, 0]
+    rhs[0] = np.conj(a00) if G.dtype.kind == "c" else a00.real
 
     out = []
     for N in caps:
         B = (N + 1) * (N + 2) // 2
-        Lb = Lc[:B, :B]
-        coeffs_vec = np.linalg.solve(Lb.conj().T, np.linalg.solve(Lb, rhs[:B]))
         eig = np.linalg.eigvalsh(G[:B, :B])
+        if eig[0] <= 0:
+            raise ValueError(
+                f"singular Gram matrix (condition estimate {np.linalg.cond(G[:B, :B]):.3e})")
+        coeffs_vec = np.linalg.solve(G[:B, :B], rhs[:B])
         p = Poly2.from_terms({(i, j): coeffs_vec[b] for b, (i, j) in enumerate(basis[:B])})
         dist = alpha_norm(p * f - Poly2.constant(1.0), space)
         out.append(ApproximantResult(N, p, dist, float(eig[-1] / eig[0])))

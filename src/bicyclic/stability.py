@@ -25,7 +25,6 @@ from .poly2 import (DEFAULT_SYMMETRY_TOL, Poly2, UnimodularMatch, lattice_values
                     slice_rows, sylvester_resultant_z2, unimodular_reflection_match)
 
 OPEN_MARGIN = 1e-7          # modulus band separating open from boundary roots
-CIRCLE_TOL = 1e-8           # |root| distance to the unit circle for torus zeros
 POINT_VALUE_TOL = 1e-8      # |f(p)| <= tol * scale at a reported torus zero
 
 # a Schur-Cohn eigenvalue below -_EIG_BAND * ||slice row||_1^2 is negative
@@ -254,6 +253,38 @@ def _slice_engine(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
     return report, torus
 
 
+def _univariate_reports(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
+    """Both zero reports of an f in one variable, from its roots: a root
+    within OPEN_MARGIN of the circle is a circle zero for both."""
+    rts = roots_low_first(f.univariate_coeffs())
+    roots = [complex(r) for r in rts if abs(r) <= 1.0 + OPEN_MARGIN]
+    hits = [(r, 0j) if f.bidegree[1] == 0 else (0j, r) for r in roots]
+    is_open = [abs(r) < 1.0 - OPEN_MARGIN for r in roots]
+    # every hit is a root; the witness is an open one when there is one
+    witness = next((h for h, o in zip(hits, is_open) if o), hits[0] if hits else None)
+    report = BidiskStabilityReport(
+        has_zero_in_open_bidisk=any(is_open),
+        has_zero_on_closed_bidisk=bool(hits),
+        witness=witness,
+        min_modulus_estimate=_min_modulus(f, hits),
+    )
+    on_circle = not all(is_open)      # a hit that is not open is in the band
+    torus = TorusZeroSet(TorusZeroKind.CURVE if on_circle else TorusZeroKind.EMPTY,
+                         axis_aligned=on_circle, candidates_checked=int(rts.size))
+    return report, torus
+
+
+def zero_reports(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
+    """The bidisk report of `bidisk_zero_scan` and the torus report of
+    `torus_zero_classification` (without its stability check), from one
+    run of the slice engine, or from the roots of a univariate f."""
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    if f.is_univariate:
+        return _univariate_reports(f)
+    return _slice_engine(f)
+
+
 def bidisk_zero_scan(f: Poly2) -> BidiskStabilityReport:
     """Decide whether f vanishes on the open and on the closed bidisk.
 
@@ -264,47 +295,19 @@ def bidisk_zero_scan(f: Poly2) -> BidiskStabilityReport:
     for zero-free f it estimates the minimum over the closed bidisk
     (maximum principle).
     """
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    if not f.is_univariate:
-        return _slice_engine(f)[0]
-
-    roots = [complex(r) for r in roots_low_first(f.univariate_coeffs())
-             if abs(r) <= 1.0 + OPEN_MARGIN]
-    hits = [(r, 0j) if f.bidegree[1] == 0 else (0j, r) for r in roots]
-    is_open = [abs(r) < 1.0 - OPEN_MARGIN for r in roots]
-    # every hit is a root; the witness is an open one when there is one
-    witness = next((h for h, o in zip(hits, is_open) if o), hits[0] if hits else None)
-    return BidiskStabilityReport(
-        has_zero_in_open_bidisk=any(is_open),
-        has_zero_on_closed_bidisk=bool(hits),
-        witness=witness,
-        min_modulus_estimate=_min_modulus(f, hits),
-    )
+    return zero_reports(f)[0]
 
 
-def torus_zero_classification(f: Poly2, *, stability_check: bool = True,
-                              tol: float = CIRCLE_TOL) -> TorusZeroSet:
+def torus_zero_classification(f: Poly2, *, stability_check: bool = True) -> TorusZeroSet:
     """Classify Z(f) on the torus as empty, a finite point list, or a curve.
 
     Irreducibility of f is a documented precondition.  For bivariate f the
     slice engine decides: self-inversive circle slices (f~ = lambda f) give
-    a curve, otherwise it lists the isolated torus zeros.  With
+    a curve, otherwise it lists the isolated torus zeros.  A univariate f
+    with a root within OPEN_MARGIN of the circle vanishes on a curve.  With
     `stability_check`, zeros inside the bidisk raise.
     """
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    if f.is_univariate:
-        rts = roots_low_first(f.univariate_coeffs())
-        if stability_check and np.any(np.abs(rts) < 1.0 - OPEN_MARGIN):
-            raise ValueError("polynomial has zeros inside the bidisk")
-        on_circle = np.abs(np.abs(rts) - 1.0) <= tol
-        if np.any(on_circle):
-            return TorusZeroSet(TorusZeroKind.CURVE, axis_aligned=True,
-                                candidates_checked=int(rts.size))
-        return TorusZeroSet(TorusZeroKind.EMPTY, candidates_checked=int(rts.size))
-
-    report, torus = _slice_engine(f)
+    report, torus = zero_reports(f)
     if stability_check and report.has_zero_in_open_bidisk:
         raise ValueError("polynomial has zeros inside the bidisk")
     return torus

@@ -21,9 +21,11 @@ def two_minus():
     return Poly2([[2, -1], [-1, 0]])
 
 
-def random_poly(rng, max_deg=4):
+def random_poly(rng, max_deg=4, real=False):
     n = int(rng.integers(0, max_deg + 1))
     m = int(rng.integers(0, max_deg + 1))
+    if real:
+        return Poly2(rng.standard_normal((n + 1, m + 1)))
     a = rng.standard_normal((n + 1, m + 1)) + 1j * rng.standard_normal((n + 1, m + 1))
     return Poly2(a)
 

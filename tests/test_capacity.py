@@ -22,7 +22,31 @@ def horizontal_table(K=64, nodes=1024):
     return fourier_coefficients(make_uniform_measure(br), K)
 
 
+def dense_fourier_oracle(mu, K):
+    """The trapezoid sum over every branch node, zeros of psi included."""
+    br = mu.branch
+    ks = np.arange(-K, K + 1)
+    E1 = np.exp(-1j * np.outer(ks, br.t))
+    E2 = np.exp(-1j * np.outer(ks, br.m))
+    table = (E1 * (mu.psi * br.spacing)[None, :]) @ E2.T
+    return 0.5 * (table + np.conj(table[::-1, ::-1]))
+
+
 class TestFourierCoefficients:
+    @pytest.mark.parametrize("kind", ["closed-form bump", "narrow traced bump", "uniform"])
+    def test_support_sum_matches_dense_oracle(self, kind):
+        if kind == "closed-form bump":
+            branch = closed_form_branch_fa(0.5, (0.0, TWO_PI), 2048)
+            mu = make_bump_measure(branch, np.pi / 2, 0.9)
+        elif kind == "narrow traced bump":
+            mu = make_bump_measure(trace_branch(fa_poly(0.25), (0.0, TWO_PI), 2048), 2.0, 0.15)
+            assert np.count_nonzero(mu.psi) < 0.05 * mu.psi.size
+        else:
+            mu = make_uniform_measure(trace_branch(Poly2([[1, 0], [0, 1]]), (0.0, TWO_PI), 1024))
+        K = 128
+        got = fourier_coefficients(mu, K).coeffs
+        assert np.abs(got - dense_fourier_oracle(mu, K)).max() <= 1e-14
+
     def test_exact_line_measure(self):
         tab = line_table(48)
         K = tab.K

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bicyclic import stability
 from bicyclic.capacity import TrendVerdict
 from bicyclic.classifier import (Threshold, classify, classify_with_evidence)
 from bicyclic.curvegeom import fa_poly
@@ -32,6 +33,29 @@ class TestMainTheorem:
     def test_interior_zero(self):
         v = classify([Poly2([[0], [1]]), Poly2([[0, 1]])])
         assert v.threshold is Threshold.NOT_CYCLIC_ANY_ALPHA
+
+
+class TestUnivariateCircleBand:
+    # one band, OPEN_MARGIN = 1e-7, decides open, circle and outside roots
+    # for both zero reports of a univariate factor
+    @pytest.mark.parametrize("variable", [1, 2])
+    @pytest.mark.parametrize("c,label", [(1 + 5e-8, "CyclicIffAlphaLeqOne"),
+                                         (1 + 5e-7, "CyclicAllAlpha"),
+                                         (1 - 5e-7, "NotCyclicAnyAlpha")])
+    def test_root_near_circle(self, variable, c, label):
+        f = Poly2([[-c], [1]]) if variable == 1 else Poly2([[-c, 1]])
+        assert classify([f]).threshold.label == label
+
+
+class TestOneEngineRun:
+    def test_bivariate_factor(self, monkeypatch, two_minus):
+        calls = []
+        engine = stability._slice_engine
+        monkeypatch.setattr(stability, "_slice_engine", lambda f: calls.append(f) or engine(f))
+        fa = classify([two_minus]).per_factor[0]
+        assert len(calls) == 1
+        assert fa.stability == stability.bidisk_zero_scan(two_minus)
+        assert fa.torus_zeros == stability.torus_zero_classification(two_minus)
 
 
 class TestCombination:

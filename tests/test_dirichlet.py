@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from bicyclic.dirichlet import (AlphaSpace, alpha_inner, alpha_norm,
-                                distance_profile, integral_norm_quadrature,
-                                optimal_approximant, profile_csv_rows)
+                                distance_profile, gram_matrix,
+                                integral_norm_quadrature, optimal_approximant,
+                                profile_csv_rows)
 from bicyclic.poly2 import Poly2
 from conftest import random_poly
 
@@ -220,27 +221,44 @@ class TestDistanceProfile:
         with pytest.raises(ValueError):
             distance_profile(f0, AlphaSpace(0.0), [4, 4])
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    def test_every_cap_matches_oracle(self, rng, alpha):
-        # each cap is solved on a leading block of one factor; each must
+    @staticmethod
+    def check_every_cap(f, alpha):
+        # each cap is solved on a leading block of one Gram matrix; each must
         # agree with its own dense least-squares solve
         caps = [0, 2, 5, 8]
+        prof = distance_profile(f, AlphaSpace(alpha), caps)
+        assert [r.degree_cap for r in prof] == caps
+        for r in prof:
+            N = r.degree_cap
+            c, d = brute_force_approximant(f, alpha, N)
+            assert abs(r.distance - d) <= 1e-10
+            got = r.approximant.padded((N + 1, N + 1))
+            basis = [(t - j, j) for t in range(N + 1) for j in range(t + 1)]
+            for b, (i, j) in enumerate(basis):
+                assert abs(got[i, j] - c[b]) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_every_cap_matches_oracle(self, rng, alpha):
         for _ in range(4):
-            f = random_poly(rng, 2)
-            prof = distance_profile(f, AlphaSpace(alpha), caps)
-            assert [r.degree_cap for r in prof] == caps
-            for r in prof:
-                N = r.degree_cap
-                c, d = brute_force_approximant(f, alpha, N)
-                assert abs(r.distance - d) <= 1e-10
-                got = r.approximant.padded((N + 1, N + 1))
-                basis = [(t - j, j) for t in range(N + 1) for j in range(t + 1)]
-                for b, (i, j) in enumerate(basis):
-                    assert abs(got[i, j] - c[b]) <= 1e-9
+            self.check_every_cap(random_poly(rng, 2), alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_every_cap_matches_oracle_real_coefficients(self, rng, alpha):
+        # real f takes the real-arithmetic path
+        for _ in range(4):
+            self.check_every_cap(random_poly(rng, 2, real=True), alpha)
 
     def test_gram_condition_is_design_condition_squared(self, rng):
         for alpha in (0.0, 1.0):
             f = random_poly(rng, 2)
+            for r in distance_profile(f, AlphaSpace(alpha), [0, 3, 6]):
+                A, _ = oracle_design(f, alpha, r.degree_cap)
+                expect = np.linalg.cond(A) ** 2
+                assert abs(r.gram_condition - expect) <= 1e-8 * expect
+
+    def test_gram_condition_real_coefficients(self, rng):
+        for alpha in (0.0, 1.0):
+            f = random_poly(rng, 2, real=True)
             for r in distance_profile(f, AlphaSpace(alpha), [0, 3, 6]):
                 A, _ = oracle_design(f, alpha, r.degree_cap)
                 expect = np.linalg.cond(A) ** 2
@@ -254,3 +272,25 @@ class TestDistanceProfile:
         rows = profile_csv_rows(prof)
         assert rows[0] == "N,d_N,gram_condition"
         assert len(rows) == 3 and rows[1].startswith("0,")
+
+
+class TestGramMatrix:
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_matches_design_normal_matrix(self, rng, alpha, real):
+        # the banded build from f's autocorrelation equals A^H A of the
+        # weighted design matrix, entry by entry
+        for n in range(4):
+            for m in range(4):
+                shape = (n + 1, m + 1)
+                a = rng.standard_normal(shape)
+                if not real:
+                    a = a + 1j * rng.standard_normal(shape)
+                a[n, m] = 1.0 if real else 1.0 + 1.0j   # bidegree exactly (n, m)
+                f = Poly2(a)
+                for cap in (0, 1, 5, 12):
+                    A, _ = oracle_design(f, alpha, cap)
+                    expect = A.conj().T @ A
+                    G = gram_matrix(f, AlphaSpace(alpha), cap)
+                    assert G.dtype == (np.float64 if real else np.complex128)
+                    assert np.abs(G - expect).max() <= 1e-13 * np.abs(expect).max()

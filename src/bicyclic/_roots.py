@@ -12,6 +12,7 @@ import numpy as np
 import numpy.polynomial.polynomial as P
 
 RELATIVE_COEFF_FLOOR = 1e-13
+NEWTON_STEPS = 4
 
 
 def trim_trailing(c: np.ndarray, rel: float = RELATIVE_COEFF_FLOOR) -> np.ndarray:
@@ -50,12 +51,12 @@ def roots_low_first(c: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(_companion_stack(tail))[0]
 
 
-def batched_roots(coeff_rows: np.ndarray, rel: float = RELATIVE_COEFF_FLOOR):
+def batched_roots(coeff_rows: np.ndarray):
     """Roots per row of a (S, d+1) low-first coefficient matrix.
 
     Returns a list of 1-D arrays (possibly empty).  Rows whose coefficients
-    are all ~0 relative to `scale` yield None, signalling a degenerate
-    (identically zero) polynomial.
+    are all at most RELATIVE_COEFF_FLOOR times the largest in the stack
+    yield None, signalling a degenerate (identically zero) polynomial.
     """
     C = np.atleast_2d(np.asarray(coeff_rows, dtype=complex))
     S, _ = C.shape
@@ -64,12 +65,12 @@ def batched_roots(coeff_rows: np.ndarray, rel: float = RELATIVE_COEFF_FLOOR):
     scale = row_max.max() if S else 0.0
     out: list = [None] * S
 
-    degenerate = row_max <= rel * max(scale, 1e-300)
+    degenerate = row_max <= RELATIVE_COEFF_FLOOR * max(scale, 1e-300)
     effdeg = np.zeros(S, dtype=int)
     for s in range(S):
         if degenerate[s]:
             continue
-        keep = np.nonzero(mags[s] > rel * row_max[s])[0]
+        keep = np.nonzero(mags[s] > RELATIVE_COEFF_FLOOR * row_max[s])[0]
         effdeg[s] = keep[-1] if keep.size else 0
 
     for d in np.unique(effdeg):
@@ -90,12 +91,12 @@ def batched_roots(coeff_rows: np.ndarray, rel: float = RELATIVE_COEFF_FLOOR):
     return out
 
 
-def newton_polish(c: np.ndarray, x0: complex, iters: int = 4) -> complex:
-    """A few Newton steps on a univariate polynomial from x0."""
+def newton_polish(c: np.ndarray, x0: complex) -> complex:
+    """NEWTON_STEPS Newton steps on a univariate polynomial from x0."""
     c = np.asarray(c, dtype=complex)
     dc = P.polyder(c)
     x = complex(x0)
-    for _ in range(iters):
+    for _ in range(NEWTON_STEPS):
         # a 0-d array, not a Python complex: numpy's scalar arithmetic
         # rounds some complex products differently from its array loops
         fp = complex(P.polyval(np.asarray(x), dc))

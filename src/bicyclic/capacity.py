@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvegeom import CurveBranch, curve_type_at, trace_branch
-from .poly2 import Poly2, lattice_values
+from .poly2 import SAME_POINT_TOL, Poly2, lattice_values
 from .stability import TorusZeroKind, torus_zero_classification
 
 TWO_PI = 2.0 * np.pi
@@ -261,15 +261,24 @@ def riesz_energy(table: FourierTable, alpha: float, cutoffs) -> EnergyReport:
                         verdict=verdict, tail_slope=float(sol[0]))
 
 
-def _pick_type2_bump(branch: CurveBranch, max_order: int = 5) -> CurveMeasure:
-    """Bump measure centered on a maximal-curvature type-2 node."""
+def branch_measure(f: Poly2, K: int, uniform: bool = False) -> CurveMeasure:
+    """The measure on the full branch of Z(f), traced at max(8K, 1024) nodes,
+    that the fourier, energy and certificate pipelines share.
+
+    Uniform when `uniform` is set or the branch is a straight line in the
+    torus (its coefficients then lie on one frequency line).  Otherwise a
+    smooth bump centered on the node of largest |m''|, which must be of
+    type 2, shrunk until |m''| stays above 30% of its center value.
+    """
+    branch = trace_branch(f, (0.0, TWO_PI), max(8 * K, 1024))
     d2 = branch.derivative_grid(2)
+    if uniform or float(np.abs(d2).max()) <= 1e-7 * max(1.0, float(np.abs(branch.dm).max())):
+        return make_uniform_measure(branch)
     center_idx = int(np.argmax(np.abs(d2)))
-    report = curve_type_at(branch, float(branch.t[center_idx]), max_order)
+    center = float(branch.t[center_idx])
+    report = curve_type_at(branch, center)
     if report.tau != 2:
         raise ValueError(f"no type-2 point found (type at max curvature: {report.tau})")
-    # shrink the window until |m''| stays above 30% of its center value
-    center = float(branch.t[center_idx])
     half = 0.8
     mid = abs(d2[center_idx])
     for _ in range(8):
@@ -285,9 +294,8 @@ def noncyclicity_certificate(f: Poly2, alpha: float, K: int = 128,
                              cutoffs=None) -> EnergyReport:
     """Energy evidence that f with a torus zero curve is not cyclic at alpha.
 
-    Traces a full branch; line branches carry the uniform measure (their
-    coefficients are exactly supported on a frequency line) while curved
-    branches get a smooth bump at a type-2 point.  A convergent trend at
+    The measure is `branch_measure(f, K)`: uniform on a line branch, a
+    smooth bump at a type-2 point of a curved one.  A convergent trend at
     alpha is evidence of non-cyclicity for all larger parameters; the
     certificate only has force for alpha > 1/2 (below that threshold the
     energy diverges for every such measure and the verdict says so).  It is
@@ -298,16 +306,7 @@ def noncyclicity_certificate(f: Poly2, alpha: float, K: int = 128,
     tz = torus_zero_classification(f, stability_check=False)
     if tz.kind is not TorusZeroKind.CURVE:
         raise ValueError("certificate requires a torus zero curve")
-    nodes = max(8 * K, 1024)
-    branch = trace_branch(f, (0.0, TWO_PI), nodes)
-
-    d2 = branch.derivative_grid(2)
-    if float(np.abs(d2).max()) <= 1e-7 * max(1.0, float(np.abs(branch.dm).max())):
-        mu = make_uniform_measure(branch)   # straight line in the torus
-    else:
-        mu = _pick_type2_bump(branch)
-
-    table = fourier_coefficients(mu, K)
+    table = fourier_coefficients(branch_measure(f, K), K)
     if cutoffs is None:
         cutoffs = [K // 8, K // 4, K // 2, K]
     return riesz_energy(table, alpha, cutoffs)
@@ -366,7 +365,7 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int,
         th = TWO_PI * np.arange(grid) / grid
         for i, j in zip(*np.nonzero(tiny)):
             p1, p2 = np.exp(1j * th[i]), np.exp(1j * th[j])
-            if not any(abs(p1 - z1) + abs(p2 - z2) < 1e-6 for (z1, z2) in zeros):
+            if not any(abs(p1 - z1) + abs(p2 - z2) < SAME_POINT_TOL for (z1, z2) in zeros):
                 raise ValueError(
                     f"f vanishes on the lattice at ({p1:.6g}, {p2:.6g}) away from "
                     "the supplied zeros")

@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import (cofactor_experiment, decay_fit, fourier_coefficients,
-                       make_bump_measure, make_uniform_measure,
-                       noncyclicity_certificate, riesz_energy)
+from .capacity import (branch_measure, cofactor_experiment, decay_fit,
+                       fourier_coefficients, noncyclicity_certificate, riesz_energy)
 from .classifier import Threshold, classify, classify_with_evidence
 from .curvegeom import _centered_window, curve_type_at, fa_poly, trace_branch
 from .detrep import (DetRep, load_pair_dataset, polynomial_from_unitary,
@@ -83,18 +82,6 @@ def _load_matrix(path: str) -> np.ndarray:
     with open(path) as fh:
         raw = json.load(fh)
     return np.array([[complex(c[0], c[1]) for c in row] for row in raw])
-
-
-def _branch_and_measure(f: Poly2, K: int, uniform: bool,
-                        center: float | None, half_width: float):
-    nodes = max(8 * K, 1024)
-    branch = trace_branch(f, (0.0, 2 * np.pi), nodes)
-    if uniform:
-        return make_uniform_measure(branch)
-    if center is None:
-        d2 = branch.derivative_grid(2)
-        center = float(branch.t[int(np.argmax(np.abs(d2)))])
-    return make_bump_measure(branch, center, half_width)
 
 
 def _cmd_classify(cfg: RunConfig, args) -> int:
@@ -179,8 +166,7 @@ def _cmd_curve_type(cfg: RunConfig, args) -> int:
 
 def _cmd_fourier(cfg: RunConfig, args) -> int:
     f = _load_poly(args.poly)
-    mu = _branch_and_measure(f, args.K, args.uniform_line,
-                             args.bump_center, args.bump_half_width)
+    mu = branch_measure(f, args.K, args.uniform_line)
     table = fourier_coefficients(mu, args.K)
     fit = decay_fit(table, args.shells, tau_claimed=args.tau) if args.K >= 32 else None
     doc = {"config": cfg.to_dict(), "K": args.K, "profile": mu.profile,
@@ -203,8 +189,7 @@ def _cmd_fourier(cfg: RunConfig, args) -> int:
 
 def _cmd_energy(cfg: RunConfig, args) -> int:
     f = _load_poly(args.poly)
-    mu = _branch_and_measure(f, args.K, args.uniform_line,
-                             args.bump_center, args.bump_half_width)
+    mu = branch_measure(f, args.K, args.uniform_line)
     table = fourier_coefficients(mu, args.K)
     cutoffs = args.cutoffs or [args.K // 8, args.K // 4, args.K // 2, args.K]
     report = riesz_energy(table, args.alpha[0], cutoffs)
@@ -348,9 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_measure(p):
         p.add_argument("--K", type=int, default=64)
         p.add_argument("--uniform-line", action="store_true",
-                       help="uniform measure over the full branch")
-        p.add_argument("--bump-center", type=float, default=None)
-        p.add_argument("--bump-half-width", type=float, default=0.8)
+                       help="uniform measure even on a curved branch")
 
     p = sub.add_parser("classify", help="cyclicity classification of a factor list")
     p.add_argument("--factors", nargs="+", required=True)

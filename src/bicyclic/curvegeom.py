@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import batched_roots
-from .poly2 import MobiusParams, Poly2, mobius_numerator, slice_rows
+from .poly2 import (ZERO_VALUE_TOL, MobiusParams, Poly2, mobius_numerator,
+                    unimodular_slice_roots)
 
 TWO_PI = 2.0 * np.pi
-ON_CURVE_TOL = 1e-8          # |f| at a traced node, relative to the scale
 ROOT_COLLISION_TOL = 1e-6    # branch ambiguity threshold
 DERIVATIVE_REL_THRESHOLD = 1e-7
+AFFINE_TOL = 1e-9            # straight-line fit residual, relative to max |m|
 
 
 class BranchSource(enum.Enum):
@@ -117,12 +117,12 @@ class CurveBranch:
                 out.append(float(self.derivative_grid(k)[index]))
         return out
 
-    def is_affine(self, rel_tol: float = 1e-9) -> bool:
-        """True when m(t) fits a straight line to within rel_tol."""
+    def is_affine(self) -> bool:
+        """True when m(t) fits a straight line to within AFFINE_TOL."""
         A = np.vstack([self.t, np.ones_like(self.t)]).T
         sol, *_ = np.linalg.lstsq(A, self.m, rcond=None)
         resid = float(np.abs(A @ sol - self.m).max())
-        return resid <= rel_tol * max(1.0, float(np.abs(self.m).max()))
+        return resid <= AFFINE_TOL * max(1.0, float(np.abs(self.m).max()))
 
     def point(self, index: int) -> tuple[complex, complex]:
         return (complex(np.exp(1j * self.t[index])),
@@ -152,41 +152,36 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
                  start_hint: float | None = None) -> CurveBranch:
     """Trace one branch of Z(f) on the torus over the parameter window.
 
-    For each node t the unimodular roots z2 of f(e^{it}, .) are computed by
-    companion-matrix eigenvalues; the branch is selected by continuity
+    The unimodular roots z2 of f(e^{it}, .) at every node come from
+    `poly2.unimodular_slice_roots`; the branch is selected by continuity
     (nearest argument to the previous node, seeded by `start_hint` or the
     smallest principal argument).  The arguments are unwrapped to a
-    continuous m(t).  Colliding roots raise an error naming the node.
+    continuous m(t).  A node without a unimodular root, colliding roots, or
+    a traced node where |f| exceeds ZERO_VALUE_TOL times the scale raises
+    an error naming the node or the residual.
     """
     if nodes < 8:
         raise ValueError("need at least 8 nodes")
     t0, t1 = float(t_window[0]), float(t_window[1])
     if t1 <= t0:
         raise ValueError("empty parameter window")
-    scale = f.scale
     t = t0 + (t1 - t0) * np.arange(nodes) / nodes
-    z1 = np.exp(1j * t)
-
-    all_roots = batched_roots(slice_rows(f.coeffs, z1))
+    all_roots, vanishing = unimodular_slice_roots(f, np.exp(1j * t))
 
     m = np.empty(nodes)
     prev = None
     slope = 0.0
     for i in range(nodes):
-        rts = all_roots[i]
-        if rts is None or rts.size == 0:
-            raise ValueError(f"no z2 root at t = {t[i]:.6f}")
-        uni = rts[np.abs(np.abs(rts) - 1.0) <= 1e-6]
+        if vanishing[i]:
+            raise ValueError(f"the circle slice vanishes identically at t = {t[i]:.6f}")
+        uni = all_roots[i]
         if uni.size == 0:
             raise ValueError(f"no unimodular z2 root at t = {t[i]:.6f}")
-        uni = uni / np.abs(uni)
         if prev is None:
-            target = start_hint if start_hint is not None else None
-            if target is None:
-                args = np.angle(uni) % TWO_PI
-                j = int(np.argmin(args))
+            if start_hint is None:
+                j = int(np.argmin(np.angle(uni) % TWO_PI))
             else:
-                j = int(np.argmin(np.abs(uni - np.exp(1j * target))))
+                j = int(np.argmin(np.abs(uni - np.exp(1j * start_hint))))
         else:
             predicted = np.exp(1j * (prev + slope * (t[1] - t[0])))
             j = int(np.argmin(np.abs(uni - predicted)))
@@ -207,7 +202,7 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
     # on-curve validation
     vals = np.abs(f(np.exp(1j * t), np.exp(1j * m)))
     worst = float(vals.max())
-    if worst > ON_CURVE_TOL * max(scale, 1.0):
+    if worst > ZERO_VALUE_TOL * f.scale:
         raise ValueError(f"traced branch leaves the zero set (max |f| = {worst:.3e})")
 
     periodic, winding = _detect_periodicity(t, m, (t0, t1))

@@ -18,10 +18,11 @@ from importlib import resources
 import numpy as np
 
 from ._roots import roots_low_first, trim_trailing
-from .poly2 import (Poly2, coeff_distance, compute_h, slice_rows,
-                    unimodular_reflection_match)
+from .poly2 import (Poly2, coeff_distance, compute_h, unimodular_reflection_match,
+                    unimodular_slice_roots)
 
 UNITARITY_TOL = 1e-10
+INNER_RADIUS_TOL = 1e-8     # a det P root below 1 - tol lies inside the disk
 
 
 @dataclass(frozen=True)
@@ -158,13 +159,8 @@ def verify_agler_identity(f: Poly2, pair: AglerPair, samples: int = 200,
 def _torus_zero_samples(f: Poly2, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Points (z1, z2) on Z(f) with both coordinates on the unit circle."""
     nodes = np.exp(1j * (np.linspace(0.0, 2 * np.pi, count, endpoint=False) + 0.05))
-    z1s, z2s = [], []
-    for z1, c in zip(nodes, slice_rows(f.coeffs, nodes)):
-        for r in roots_low_first(c):
-            if abs(abs(r) - 1.0) <= 1e-8:
-                z1s.append(z1)
-                z2s.append(r / abs(r))
-    return np.asarray(z1s, dtype=complex), np.asarray(z2s, dtype=complex)
+    roots, _ = unimodular_slice_roots(f, nodes)
+    return np.repeat(nodes, [r.size for r in roots]), np.concatenate(roots)
 
 
 def unitary_from_pair(f: Poly2, pair: AglerPair, zero_samples: int = 64,
@@ -204,7 +200,7 @@ def unitary_from_pair(f: Poly2, pair: AglerPair, zero_samples: int = 64,
     return rep
 
 
-def det_p_extraction(pair_or_matrix, inner_radius_tol: float = 1e-8) -> np.ndarray:
+def det_p_extraction(pair_or_matrix) -> np.ndarray:
     """Determinant of the z2-coefficient matrix P(z2) as a univariate polynomial.
 
     Accepts an AglerPair or a raw (n, n, d+1) coefficient array.  Evaluates
@@ -226,7 +222,7 @@ def det_p_extraction(pair_or_matrix, inner_radius_tol: float = 1e-8) -> np.ndarr
     dets = np.linalg.det(entries)
     coeffs = trim_trailing(np.fft.fft(dets) / S, rel=1e-11)
     for r in roots_low_first(coeffs):
-        if abs(r) < 1.0 - inner_radius_tol:
+        if abs(r) < 1.0 - INNER_RADIUS_TOL:
             raise ValueError(
                 f"det P has a zero at {r:.6g} inside the unit disk; pair invalid")
     return coeffs

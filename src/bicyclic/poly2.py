@@ -9,23 +9,27 @@ All operations are pure; instances are treated as immutable values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.polynomial as P
 
-from ._roots import trim_trailing
+from ._roots import RELATIVE_COEFF_FLOOR, batched_roots, trim_trailing
 
 DEFAULT_TRIM_TOL = 1e-12
-DEFAULT_SYMMETRY_TOL = 1e-9
+SYMMETRY_TOL = 1e-9         # max |f~ - lambda f| <= tol * scale is a match
+RESULTANT_ZERO_TOL = 1e-10  # resultant samples below tol * Hadamard bound vanish
+CIRCLE_BAND = 1e-6          # a slice root within this of the unit circle is on it
+ZERO_VALUE_TOL = 1e-8       # |f| <= tol * scale at a computed zero of f
+SAME_POINT_TOL = 1e-6       # torus points with |dz1| + |dz2| below this coincide
 
 
-def _trim_grid(a: np.ndarray, rel_tol: float) -> np.ndarray:
+def _trim_grid(a: np.ndarray) -> np.ndarray:
     mags = np.abs(a)
     top = mags.max()
     if top == 0.0:
         return np.zeros((1, 1), dtype=complex)
-    thr = rel_tol * top
+    thr = DEFAULT_TRIM_TOL * top
     rows = np.nonzero(mags.max(axis=1) > thr)[0]
     cols = np.nonzero(mags.max(axis=0) > thr)[0]
     if rows.size == 0 or cols.size == 0:
@@ -36,9 +40,9 @@ def _trim_grid(a: np.ndarray, rel_tol: float) -> np.ndarray:
 class Poly2:
     """Bivariate polynomial with complex floating-point coefficients."""
 
-    __slots__ = ("coeffs", "trim_tolerance")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, trim_tolerance: float = DEFAULT_TRIM_TOL):
+    def __init__(self, coeffs):
         a = np.array(coeffs, dtype=complex)
         if a.ndim == 0:
             a = a.reshape(1, 1)
@@ -46,12 +50,9 @@ class Poly2:
             a = a.reshape(-1, 1)
         elif a.ndim != 2:
             raise ValueError("coefficient grid must be two-dimensional")
-        if trim_tolerance < 0:
-            raise ValueError("trim_tolerance must be nonnegative")
-        a = _trim_grid(a, trim_tolerance)
+        a = _trim_grid(a)
         a.setflags(write=False)
         object.__setattr__(self, "coeffs", a)
-        object.__setattr__(self, "trim_tolerance", float(trim_tolerance))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly2 is immutable")
@@ -136,12 +137,12 @@ class Poly2:
         other = _as_poly(other)
         K = max(self.coeffs.shape[0], other.coeffs.shape[0])
         L = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        return Poly2(self.padded((K, L)) + other.padded((K, L)), self.trim_tolerance)
+        return Poly2(self.padded((K, L)) + other.padded((K, L)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly2":
-        return Poly2(-self.coeffs, self.trim_tolerance)
+        return Poly2(-self.coeffs)
 
     def __sub__(self, other) -> "Poly2":
         return self + (-_as_poly(other))
@@ -151,7 +152,7 @@ class Poly2:
 
     def __mul__(self, other) -> "Poly2":
         if np.isscalar(other):
-            return Poly2(self.coeffs * other, self.trim_tolerance)
+            return Poly2(self.coeffs * other)
         other = _as_poly(other)
         a, b = self.coeffs, other.coeffs
         if self.is_zero or other.is_zero:
@@ -164,7 +165,7 @@ class Poly2:
                 c = a[k, l]
                 if c != 0:
                     out[k: k + b.shape[0], l: l + b.shape[1]] += c * b
-        return Poly2(out, self.trim_tolerance)
+        return Poly2(out)
 
     __rmul__ = __mul__
 
@@ -188,11 +189,11 @@ class Poly2:
         if axis == 1:
             if a.shape[0] == 1:
                 return Poly2.zero()
-            return Poly2(a[1:] * np.arange(1, a.shape[0])[:, None], self.trim_tolerance)
+            return Poly2(a[1:] * np.arange(1, a.shape[0])[:, None])
         if axis == 2:
             if a.shape[1] == 1:
                 return Poly2.zero()
-            return Poly2(a[:, 1:] * np.arange(1, a.shape[1])[None, :], self.trim_tolerance)
+            return Poly2(a[:, 1:] * np.arange(1, a.shape[1])[None, :])
         raise ValueError("axis must be 1 or 2")
 
     def reflect(self, bidegree: tuple[int, int] | None = None) -> "Poly2":
@@ -210,13 +211,13 @@ class Poly2:
             grid = self.coeffs
         else:
             grid = self.padded((bidegree[0] + 1, bidegree[1] + 1))
-        return Poly2(np.conj(grid[::-1, ::-1]), self.trim_tolerance)
+        return Poly2(np.conj(grid[::-1, ::-1]))
 
     def swap_variables(self) -> "Poly2":
-        return Poly2(self.coeffs.T, self.trim_tolerance)
+        return Poly2(self.coeffs.T)
 
     def conjugate_coeffs(self) -> "Poly2":
-        return Poly2(np.conj(self.coeffs), self.trim_tolerance)
+        return Poly2(np.conj(self.coeffs))
 
     def univariate_coeffs(self) -> np.ndarray:
         """1-D coefficient array for polynomials in a single variable."""
@@ -274,38 +275,44 @@ def coeff_distance(f: Poly2, g: Poly2) -> float:
 
 @dataclass(frozen=True)
 class UnimodularMatch:
-    """Outcome of testing f~ = lambda * f for a single unimodular lambda."""
+    """Outcome of testing f~ = lambda * f for a single unimodular lambda.
+
+    `defect` is the coefficient grid of f~ - lambda f at the projected
+    lambda; it is kept on a mismatch, where `lam` is None.
+    """
 
     matches: bool
     lam: complex | None
     residual: float
+    defect: np.ndarray = field(repr=False, compare=False)
 
 
-def unimodular_reflection_match(f: Poly2, tol: float = DEFAULT_SYMMETRY_TOL) -> UnimodularMatch:
+def unimodular_reflection_match(f: Poly2) -> UnimodularMatch:
     """Test whether the reflection equals a unimodular multiple of f.
 
-    lambda is taken from the coefficient of largest modulus and projected to
-    the unit circle; the residual is the max coefficient deviation of
-    f~ - lambda f.
+    lambda is the least-squares multiplier <f~, f> / <f, f> projected to the
+    unit circle; the residual is the max coefficient modulus of
+    f~ - lambda f, and the match holds when it is at most SYMMETRY_TOL
+    times the scale.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no reflection symmetry")
     a = f.coeffs
-    b = f.reflect().coeffs
-    k, l = np.unravel_index(np.argmax(np.abs(a)), a.shape)
-    ratio = b[k, l] / a[k, l]
-    lam = ratio / abs(ratio) if abs(ratio) > 0 else 1.0 + 0j
-    residual = float(np.abs(b - lam * a).max())
-    matches = residual <= tol * f.scale
-    return UnimodularMatch(matches, complex(lam) if matches else None, residual)
+    b = np.conj(a[::-1, ::-1])
+    ip = np.vdot(a, b)
+    lam = ip / abs(ip) if ip != 0 else 1.0 + 0j
+    defect = b - lam * a
+    residual = float(np.abs(defect).max())
+    matches = residual <= SYMMETRY_TOL * f.scale
+    return UnimodularMatch(matches, complex(lam) if matches else None, residual, defect)
 
 
-def normalize_symmetric(f: Poly2, tol: float = DEFAULT_SYMMETRY_TOL) -> tuple[Poly2, complex]:
+def normalize_symmetric(f: Poly2) -> tuple[Poly2, complex]:
     """Scale f by a unimodular mu so the result g satisfies g~ = g.
 
     Requires f~ = lambda f; mu is a square root of lambda.  Returns (g, mu).
     """
-    match = unimodular_reflection_match(f, tol)
+    match = unimodular_reflection_match(f)
     if not match.matches:
         raise ValueError(
             f"not reflection-symmetric (residual {match.residual:.3e})")
@@ -349,7 +356,7 @@ def mobius_numerator(f: Poly2, params: MobiusParams) -> Poly2:
     T1 = basis(complex(params.a), n)
     T2 = basis(complex(params.b), m)
     out = np.einsum("kl,ki,lj->ij", f.coeffs, T1, T2)
-    return Poly2(out, f.trim_tolerance)
+    return Poly2(out)
 
 
 def compute_h(f: Poly2) -> Poly2:
@@ -359,7 +366,7 @@ def compute_h(f: Poly2) -> Poly2:
     n, m = f.bidegree
     k = np.arange(n + 1)[:, None]
     l = np.arange(m + 1)[None, :]
-    return Poly2(f.coeffs * (k + l), f.trim_tolerance)
+    return Poly2(f.coeffs * (k + l))
 
 
 def slice_rows(coeffs: np.ndarray, z1) -> np.ndarray:
@@ -367,6 +374,26 @@ def slice_rows(coeffs: np.ndarray, z1) -> np.ndarray:
     z1: shape z1.shape + (m+1,)."""
     rows = P.polyval(np.asarray(z1, dtype=complex), np.asarray(coeffs), tensor=True)
     return np.moveaxis(rows, 0, -1)
+
+
+def unimodular_slice_roots(f: Poly2, z1s: np.ndarray) -> tuple[list, np.ndarray]:
+    """The roots on the unit circle of the slices f(z1, .), z1 in z1s.
+
+    One batched root solve over the slice rows; a root within CIRCLE_BAND of
+    the circle is kept and normalized to modulus one.  Returns the root
+    arrays, one per slice, and the mask of slices that vanish identically
+    (row max at most RELATIVE_COEFF_FLOOR * scale), whose arrays are empty.
+    """
+    rows = slice_rows(f.coeffs, z1s)
+    vanishing = np.abs(rows).max(axis=-1) <= RELATIVE_COEFF_FLOOR * f.scale
+    out = []
+    for rts, gone in zip(batched_roots(rows), vanishing):
+        if gone or rts is None:
+            out.append(np.zeros(0, dtype=complex))
+            continue
+        uni = rts[np.abs(np.abs(rts) - 1.0) <= CIRCLE_BAND]
+        out.append(uni / np.abs(uni))
+    return out, vanishing
 
 
 def lattice_values(f: Poly2, grid: int) -> np.ndarray:
@@ -379,8 +406,7 @@ def lattice_values(f: Poly2, grid: int) -> np.ndarray:
     return np.fft.ifft2(padded) * grid * grid
 
 
-def sylvester_resultant_z2(f: Poly2, g: Poly2,
-                           zero_tol: float = 1e-10) -> np.ndarray:
+def sylvester_resultant_z2(f: Poly2, g: Poly2) -> np.ndarray:
     """Resultant of f and g in z2, a univariate polynomial in z1.
 
     The Sylvester determinant (entries in C[z1]) is recovered by evaluating
@@ -413,7 +439,7 @@ def sylvester_resultant_z2(f: Poly2, g: Poly2,
     # Hadamard bound gives the natural scale for zero detection
     row_norms = np.sqrt((np.abs(M) ** 2).sum(axis=2))
     hadamard = np.exp(np.log(np.maximum(row_norms, 1e-300)).sum(axis=1)).max()
-    if np.abs(dets).max() <= zero_tol * max(hadamard, 1e-300):
+    if np.abs(dets).max() <= RESULTANT_ZERO_TOL * max(hadamard, 1e-300):
         return np.zeros(1, dtype=complex)
 
     coeffs = np.fft.fft(dets) / S

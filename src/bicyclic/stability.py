@@ -7,11 +7,15 @@ which is singular exactly where p_t shares a root with its reflection.  f
 has no zero in the open bidisk iff f(., 0) has none in the disk and M(t) is
 positive semidefinite for every t; one eigenvalue test per arc between the
 angles of the roots of the z2-resultant of f and f~ - lambda f decides this.
-On a zero-free f the smallest eigenvalue touches zero at the torus zeros.
-When every slice is self-inversive, M vanishes and Cohn's criterion (all
-roots on the circle iff the derivative's roots lie in the closed disk)
-gives the same test on the reflection of df/dz2.  The torus classification
-is the empty / finite / curve trichotomy for an irreducible f.
+`poly2.unimodular_reflection_match` gives lambda and decides whether every
+slice is self-inversive (f~ = lambda f); then M vanishes and Cohn's
+criterion (all roots on the circle iff the derivative's roots lie in the
+closed disk) gives the same test on the reflection of df/dz2.  On a
+zero-free f the smallest eigenvalue touches zero at the torus zeros; the
+torus points are the slice roots there from `poly2.unimodular_slice_roots`
+with |f| <= ZERO_VALUE_TOL * scale, points closer than SAME_POINT_TOL
+merged.  The torus classification is the empty / finite / curve trichotomy
+for an irreducible f.
 """
 from __future__ import annotations
 
@@ -20,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import RELATIVE_COEFF_FLOOR, newton_polish, roots_low_first
-from .poly2 import (DEFAULT_SYMMETRY_TOL, Poly2, UnimodularMatch, lattice_values,
-                    slice_rows, sylvester_resultant_z2, unimodular_reflection_match)
+from ._roots import newton_polish, roots_low_first
+from .poly2 import (SAME_POINT_TOL, SYMMETRY_TOL, ZERO_VALUE_TOL, Poly2,
+                    UnimodularMatch, lattice_values, slice_rows,
+                    sylvester_resultant_z2, unimodular_reflection_match,
+                    unimodular_slice_roots)
 
 OPEN_MARGIN = 1e-7          # modulus band separating open from boundary roots
-POINT_VALUE_TOL = 1e-8      # |f(p)| <= tol * scale at a reported torus zero
 
 # a Schur-Cohn eigenvalue below -_EIG_BAND * ||slice row||_1^2 is negative
 # beyond the rounding of the products that form M = A*A - B*B
@@ -107,21 +112,20 @@ def _midpoints(angles: np.ndarray) -> np.ndarray:
 
 def _crossing_angles(a: np.ndarray):
     """(sorted angles, count) of the roots of the z2-resultant of a scaled f
-    and g = f~ - lam f, lam the unimodular projection of <f~, f>; None when
-    every circle slice is self-inversive."""
-    b = np.conj(a[::-1, ::-1])
-    ip = np.vdot(a, b)
-    g = b - (ip / abs(ip) if ip != 0 else 1.0) * a
-    if np.abs(g).max() <= DEFAULT_SYMMETRY_TOL:
+    and the defect g = f~ - lambda f of its reflection match; None when
+    every circle slice is self-inversive (the match holds)."""
+    f = Poly2(a)
+    match = unimodular_reflection_match(f)
+    if match.matches:
         return None
     # Res(f, g) equals Res(f, f~) at equal degree, but stays far from the
     # zero test when f~ is close to a multiple of f
-    res = sylvester_resultant_z2(Poly2(a), Poly2(g))
+    res = sylvester_resultant_z2(f, Poly2(match.defect))
     if res.size == 1 and res[0] == 0:
         # M(t) has degree n in t: it vanishes iff it does at 2n+1 points
         n = a.shape[0] - 1
         rows = slice_rows(a, np.exp(2j * np.pi * np.arange(2 * n + 1) / (2 * n + 1)))
-        if np.abs(_schur_cohn(rows)).max() > DEFAULT_SYMMETRY_TOL:
+        if np.abs(_schur_cohn(rows)).max() > SYMMETRY_TOL:
             raise ValueError(
                 "input not irreducible: f and its reflection share a factor "
                 "although the reflection is not a unimodular multiple of f")
@@ -172,22 +176,16 @@ def _torus_points(f: Poly2, ts: np.ndarray) -> tuple[list, bool]:
     """Torus zeros on the circle slices at the angles ts, sorted by angle,
     and whether one of those slices vanishes identically."""
     z1s = np.exp(1j * ts)
+    roots, vanishing = unimodular_slice_roots(f, z1s)
     points: list[tuple[complex, complex]] = []
-    vanishing = False
-    for z1, row in zip(z1s, slice_rows(f.coeffs, z1s)):
-        if np.abs(row).max() <= RELATIVE_COEFF_FLOOR * f.scale:
-            vanishing = True
-            continue
-        for z2 in roots_low_first(row):
-            if abs(abs(z2) - 1.0) <= 1e-6:
-                z2 = z2 / abs(z2)
-                if abs(f(z1, z2)) <= POINT_VALUE_TOL * f.scale:
-                    p = (complex(z1), complex(z2))
-                    if not any(abs(p[0] - q[0]) + abs(p[1] - q[1]) < 1e-6 for q in points):
-                        points.append(p)
+    for z1, z2s in zip(z1s, roots):
+        for z2 in z2s[np.abs(f(z1, z2s)) <= ZERO_VALUE_TOL * f.scale]:
+            p = (complex(z1), complex(z2))
+            if not any(abs(p[0] - q[0]) + abs(p[1] - q[1]) < SAME_POINT_TOL for q in points):
+                points.append(p)
     # angles a rounding error below 2 pi sort as 0
     points.sort(key=lambda p: tuple((np.angle(z) + 1e-12) % (2 * np.pi) for z in p))
-    return points, vanishing
+    return points, bool(vanishing.any())
 
 
 def _open_witness(f: Poly2, t: float) -> tuple[complex, complex] | None:

@@ -113,6 +113,18 @@ class TestPipelines:
         doc = json.loads((tmp_path / "o" / "energy.json").read_text())
         assert doc["report"]["verdict"] == "ConvergentTrend"
 
+    @pytest.mark.parametrize("grid", [[[1, -0.5], [-0.5, 1]], [[1, 0], [0, 1]]],
+                             ids=["f_0.5", "1+z1z2"])
+    def test_energy_and_certificate_pick_one_measure(self, tmp_path, grid):
+        path = write_poly(tmp_path / "f.json", grid)
+        argv = ["--poly", path, "--alpha", "0.75", "--K", "128"]
+        assert run(["--out", str(tmp_path / "e"), "energy"] + argv) == 0
+        assert run(["--out", str(tmp_path / "c"), "certificate"] + argv) == 0
+        energy = json.loads((tmp_path / "e" / "energy.json").read_text())["report"]
+        cert = json.loads((tmp_path / "c" / "certificate.json").read_text())["report"]
+        assert energy["cutoffs"] == cert["cutoffs"]
+        assert energy["partial_sums"] == cert["partial_sums"]
+
     def test_certificate(self, tmp_path, f0_file):
         assert run(["--out", str(tmp_path / "o"), "certificate", "--poly", f0_file,
                     "--alpha", "0.75", "--K", "64"]) == 0

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicyclic.poly2 import (MobiusParams, Poly2, coeff_distance, compute_h,
-                            mobius_numerator, normalize_symmetric,
-                            sylvester_resultant_z2, unimodular_reflection_match)
+from bicyclic._roots import RELATIVE_COEFF_FLOOR, roots_low_first
+from bicyclic.detrep import DetRep, polynomial_from_unitary, random_unitary
+from bicyclic.poly2 import (CIRCLE_BAND, MobiusParams, Poly2, coeff_distance,
+                            compute_h, mobius_numerator, normalize_symmetric,
+                            slice_rows, sylvester_resultant_z2,
+                            unimodular_reflection_match, unimodular_slice_roots)
 from conftest import random_poly, torus_samples
 
 
@@ -152,10 +155,80 @@ class TestUnimodularMatch:
             m = unimodular_reflection_match(f)
             assert m.matches and abs(abs(m.lam) - 1.0) <= 1e-12
 
+    def test_divisible_by_z1(self):
+        # f(0, z2) = 0 shortens the trimmed reflection; the match compares f
+        # with its reflection at the bidegree of f instead of raising
+        for grid in ([[0, 0], [1, 1]], [[0, 0, 0], [1, 2, 0], [0, 0, 1]]):
+            m = unimodular_reflection_match(Poly2(grid))
+            assert not m.matches and m.lam is None and m.residual > 0.5
+
     def test_normalize_symmetric(self):
         g, mu = normalize_symmetric(Poly2([[1, 0], [0, -1]]))  # lambda = -1
         assert abs(abs(mu) - 1) < 1e-14
         assert coeff_distance(g.reflect(), g) < 1e-14
+
+
+def slice_roots_reference(f, z1s):
+    """One roots_low_first call per slice row, filtered to the circle band."""
+    roots, vanishing = [], []
+    for row in slice_rows(f.coeffs, z1s):
+        gone = np.abs(row).max() <= RELATIVE_COEFF_FLOOR * f.scale
+        rts = np.zeros(0, dtype=complex) if gone else roots_low_first(row)
+        uni = rts[np.abs(np.abs(rts) - 1.0) <= CIRCLE_BAND]
+        roots.append(uni / np.abs(uni))
+        vanishing.append(gone)
+    return roots, np.array(vanishing)
+
+
+class TestUnimodularSliceRoots:
+    def assert_matches_reference(self, f, z1s):
+        roots, vanishing = unimodular_slice_roots(f, z1s)
+        ref_roots, ref_vanishing = slice_roots_reference(f, z1s)
+        assert np.array_equal(vanishing, ref_vanishing)
+        assert len(roots) == len(ref_roots) == z1s.size
+        for r, q in zip(roots, ref_roots):
+            assert np.array_equal(r, q)
+        return roots, vanishing
+
+    def test_random_complex(self, rng):
+        z1s = np.exp(2j * np.pi * rng.uniform(size=48))
+        for _ in range(20):
+            f = random_poly(rng)
+            if f.is_zero:
+                continue
+            self.assert_matches_reference(f, z1s)
+        # slices with roots in the band: 2 - z1 - conj(zeta) z2 on the slice
+        # through its torus zero (1, zeta), and 2 - z1^2 - z2^2 at z1 = +-1
+        zeta = np.exp(0.7j)
+        f = Poly2([[2, -np.conj(zeta)], [-1, 0]])
+        roots, _ = self.assert_matches_reference(f, np.array([1.0 + 0j, 1j]))
+        assert roots[0].size == 1 and abs(roots[0][0] - zeta) < 1e-12
+        assert roots[1].size == 0
+        roots, _ = self.assert_matches_reference(
+            Poly2([[2, 0, -1], [0, 0, 0], [-1, 0, 0]]), np.array([1.0 + 0j, -1.0 + 0j]))
+        assert [r.size for r in roots] == [2, 2]
+
+    def test_determinantal_curves(self, rng):
+        t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False) + 0.05
+        for _ in range(10):
+            size = int(rng.integers(2, 6))
+            n = int(rng.integers(1, size))
+            f = polynomial_from_unitary(DetRep(1.0, random_unitary(size, rng), n, size - n))
+            roots, vanishing = self.assert_matches_reference(f, np.exp(1j * t))
+            # every slice root of a determinantal curve lies on the circle
+            assert not vanishing.any()
+            assert all(r.size == size - n for r in roots)
+            for z1, r in zip(np.exp(1j * t), roots):
+                assert np.abs(np.abs(r) - 1.0).max() <= 1e-15
+                assert np.abs(f(z1, r)).max() <= 1e-8 * f.scale
+
+    def test_vanishing_slice(self):
+        # (1 - z1)(2 - z2) vanishes identically on the slice z1 = 1 (t = 0)
+        f = Poly2([[1], [-1]]) * Poly2([[2, -1]])
+        z1s = np.exp(1j * np.array([0.0, 0.5, np.pi]))
+        roots, vanishing = self.assert_matches_reference(f, z1s)
+        assert vanishing.tolist() == [True, False, False]
+        assert all(r.size == 0 for r in roots)    # z2 = 2 is off the circle
 
 
 class TestResultant:
@@ -308,7 +381,7 @@ def test_multiplication_commutes_property(a, b):
 
 
 def test_trim_tolerance_tightens_bidegree():
-    f = Poly2([[1.0, 1e-15], [1e-16, 1e-17]], trim_tolerance=1e-12)
+    f = Poly2([[1.0, 1e-15], [1e-16, 1e-17]])
     assert f.bidegree == (0, 0)
-    g = Poly2([[1.0, 0.5], [0.25, 0.0]], trim_tolerance=1e-12)
+    g = Poly2([[1.0, 0.5], [0.25, 0.0]])
     assert g.bidegree == (1, 1)

@@ -189,6 +189,20 @@ class TestTorusClassification:
             assert tz.kind is TorusZeroKind.CURVE
             assert tz.symmetry.matches
 
+    def test_near_symmetric_curve_records_its_match(self):
+        # f~ = lambda f up to 1.1e-9 in the constant term: the least-squares
+        # lambda matches within 1e-9 scale, the largest-coefficient ratio
+        # does not, and the recorded symmetry must be the one that decided
+        f = Poly2([[1 + 2.2e-9j, -0.5], [-0.5, 1]])
+        verdict = classify([f])
+        assert verdict.threshold is Threshold.CYCLIC_IFF_ALPHA_LEQ_HALF
+        tz = verdict.per_factor[0].torus_zeros
+        assert tz.kind is TorusZeroKind.CURVE
+        assert tz.symmetry.matches and tz.symmetry.lam is not None
+        assert abs(abs(tz.symmetry.lam) - 1.0) <= 1e-15
+        assert tz.symmetry.residual <= 1e-9 * f.scale
+        assert tz.to_dict()["symmetry"]["matches"] is True
+
     def test_rotated_single_point(self):
         # rotate the zero of 2 - z1 - z2 off the lattice directions
         zeta = np.exp(0.37j)

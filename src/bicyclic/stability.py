@@ -11,15 +11,20 @@ angles of the roots of the z2-resultant of f and f~ - lambda f decides this.
 slice is self-inversive (f~ = lambda f); then M vanishes and Cohn's
 criterion (all roots on the circle iff the derivative's roots lie in the
 closed disk) gives the same test on the reflection of df/dz2.  On a
-zero-free f the smallest eigenvalue touches zero at the torus zeros; the
-torus points are the slice roots there from `poly2.unimodular_slice_roots`
-with |f| <= ZERO_VALUE_TOL * scale, points closer than SAME_POINT_TOL
-merged.  The torus classification is the empty / finite / curve trichotomy
-for an irreducible f.
+zero-free f the smallest eigenvalue touches zero at the torus zeros.  Those
+touch points are the sign changes d < 0 -> d >= 0 of its slope, bracketed on
+the resultant-root angles and the quarter points of their arcs and refined
+by a vectorised ITP (interpolate-truncate-project) search, superlinear on a
+smooth slope and never taking more steps than bisection of the circle to
+TOUCH_WIDTH.  The torus points are the slice roots there from
+`poly2.unimodular_slice_roots` with |f| <= ZERO_VALUE_TOL * scale, points
+closer than SAME_POINT_TOL merged.  The torus classification is the empty /
+finite / curve trichotomy for an irreducible f.
 """
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +40,13 @@ OPEN_MARGIN = 1e-7          # modulus band separating open from boundary roots
 # a Schur-Cohn eigenvalue below -_EIG_BAND * ||slice row||_1^2 is negative
 # beyond the rounding of the products that form M = A*A - B*B
 _EIG_BAND = 64 * np.finfo(float).eps
+
+# the bracket width at which the search for a touch point stops: 2 pi / 2^48,
+# some 25 ulps of an angle near 2 pi
+TOUCH_WIDTH = 2 * np.pi * 16 * np.finfo(float).eps
+# the truncation of that search pushes the regula falsi point towards the
+# midpoint by _ITP_K1 * width^_ITP_K2
+_ITP_K1, _ITP_K2 = 0.1, 2.0
 
 
 @dataclass(frozen=True)
@@ -87,14 +99,23 @@ class TorusZeroSet:
         }
 
 
+@functools.lru_cache(maxsize=64)
+def _toeplitz_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lower-triangle mask and lag table of the m x m Toeplitz factors,
+    built once per m and read-only."""
+    i, j = np.indices((m, m))
+    lower = i >= j
+    lag = np.where(lower, i - j, 0)
+    lower.flags.writeable = lag.flags.writeable = False
+    return lower, lag
+
+
 def _schur_cohn(rows: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
     """The form A*A' - B*B' of two (S, m+1) stacks of slice rows, where A, B
     are the Toeplitz factors of `rows` and A', B' those of `other`; with one
     stack, the Schur-Cohn matrices M = A*A - B*B."""
     m = rows.shape[-1] - 1
-    i, j = np.indices((m, m))
-    lower = i >= j
-    lag = np.where(lower, i - j, 0)
+    lower, lag = _toeplitz_index(m)
 
     def factors(r):
         return (np.where(lower, r[:, lag], 0),
@@ -104,10 +125,11 @@ def _schur_cohn(rows: np.ndarray, other: np.ndarray | None = None) -> np.ndarray
     return np.conj(np.swapaxes(A, 1, 2)) @ A2 - np.conj(np.swapaxes(B, 1, 2)) @ B2
 
 
-def _midpoints(angles: np.ndarray) -> np.ndarray:
-    """One point inside every arc that the sorted angles cut the circle into."""
+def _arc_points(angles: np.ndarray, fractions=(0.5,)) -> np.ndarray:
+    """The points at the given fractions of every arc that the sorted
+    angles cut the circle into; by default one point inside each arc."""
     nxt = np.append(angles[1:], angles[0] + 2 * np.pi)
-    return ((angles + nxt) / 2) % (2 * np.pi)
+    return np.concatenate([((1 - q) * angles + q * nxt) % (2 * np.pi) for q in fractions])
 
 
 def _crossing_angles(a: np.ndarray):
@@ -147,28 +169,58 @@ def _most_negative(a: np.ndarray, ts: np.ndarray) -> float | None:
     return float(ts[np.flatnonzero(neg)[np.argmin(lam[neg])]])
 
 
-def _slopes(a: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _slopes(a: np.ndarray, da: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """lambda_min'(t) = v* M'(t) v, v the unit eigenvector of the smallest
-    eigenvalue of M(t); M' comes from the t-derivative of the slice rows."""
+    eigenvalue of M(t); M' comes from the slice rows of da, the
+    t-derivative 1j k a_k of the coefficients."""
     z1 = np.exp(1j * ts)
     rows = slice_rows(a, z1)
-    X = _schur_cohn(slice_rows(1j * np.arange(a.shape[0])[:, None] * a, z1), rows)
+    X = _schur_cohn(slice_rows(da, z1), rows)
     v = np.linalg.eigh(_schur_cohn(rows))[1][:, :, 0]
     return 2 * np.einsum("si,sij,sj->s", np.conj(v), X, v).real
 
 
 def _touch_points(a: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Local minima of lambda_min(t), bracketed on the angles and arc
-    midpoints and refined by 60 vectorised bisections."""
-    ts = np.sort(np.concatenate([angles, _midpoints(angles)]))
-    d = _slopes(a, ts)
+    """Local minima of lambda_min(t): the sign changes d < 0 -> d >= 0 of
+    its slope d, bracketed on the angles and the quarter points of their
+    arcs, and refined by a vectorised ITP search (interpolate, truncate,
+    project: Oliveira & Takahashi, ACM TOMS 2021).
+
+    Every step keeps d(lo) < 0 <= d(hi) and starts from the slopes already
+    known at lo and hi.  It takes the regula falsi point, pushes it towards
+    the midpoint by _ITP_K1 * width^_ITP_K2 and projects it into a radius
+    of the midpoint that halves each step, so that no bracket needs more
+    steps than bisection of the whole circle to TOUCH_WIDTH (48); on a
+    smooth slope it converges superlinearly.  A bracket stops when it is
+    TOUCH_WIDTH wide or stops shrinking."""
+    # the quarter points give a bracket also where a double crossing angle
+    # leaves only the touch point itself and its antipode as samples
+    ts = np.sort(np.concatenate([angles, _arc_points(angles, (0.25, 0.5, 0.75))]))
+    da = 1j * np.arange(a.shape[0])[:, None] * a
+    d = _slopes(a, da, ts)
     starts = np.flatnonzero((d < 0) & (np.roll(d, -1) >= 0))
-    lo = ts[starts]
-    hi = np.append(ts, ts[0] + 2 * np.pi)[starts + 1]
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        down = _slopes(a, mid) < 0
-        lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
+    lo, dlo = ts[starts], d[starts]
+    hi, dhi = np.append(ts, ts[0] + 2 * np.pi)[starts + 1], np.roll(d, -1)[starts]
+    live = hi - lo > TOUCH_WIDTH
+    reach = np.pi       # half the width that bisection of the circle has reached
+    while live.any():
+        k = np.flatnonzero(live)
+        l, h, dl, dh = lo[k], hi[k], dlo[k], dhi[k]
+        width, mid = h - l, (l + h) / 2
+        falsi = (dh * l - dl * h) / (dh - dl)
+        sigma = np.sign(mid - falsi)
+        # a push of at least half the stop width moves a regula falsi point
+        # that rounds onto an endpoint into the bracket
+        delta = np.maximum(_ITP_K1 * width ** _ITP_K2, TOUCH_WIDTH / 2)
+        x = np.where(delta <= np.abs(mid - falsi), falsi + sigma * delta, mid)
+        radius = np.maximum(reach - width / 2, 0)
+        x = np.where(np.abs(x - mid) <= radius, x, mid - sigma * radius)
+        y = _slopes(a, da, x)
+        down = y < 0
+        lo[k], dlo[k] = np.where(down, x, l), np.where(down, y, dl)
+        hi[k], dhi[k] = np.where(down, h, x), np.where(down, dh, y)
+        live[k] = (hi[k] - lo[k] > TOUCH_WIDTH) & (hi[k] - lo[k] < width)
+        reach /= 2
     return (lo + hi) / 2
 
 
@@ -223,13 +275,13 @@ def _slice_engine(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
         h = f.partial_derivative(2).reflect()
         hc = h.coeffs / h.scale
         h_cross = _crossing_angles(hc) if h.bidegree[1] else None
-        t_neg = None if h_cross is None else _most_negative(hc, _midpoints(h_cross[0]))
+        t_neg = None if h_cross is None else _most_negative(hc, _arc_points(h_cross[0]))
         # a sample of the zero curve: the slice roots at z1 = 1
         points, vanishing = _torus_points(f, np.zeros(1))
         torus = TorusZeroSet(TorusZeroKind.CURVE, symmetry=unimodular_reflection_match(f))
     else:
         angles, candidates = crossing
-        t_neg = _most_negative(a, _midpoints(angles))
+        t_neg = _most_negative(a, _arc_points(angles))
         # on a zero-free f every torus zero is a tangential contact, found as a
         # touch point; where f has open zeros, slice roots also cross the
         # circle transversally, at simple resultant roots

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicyclic import stability
 from bicyclic.classifier import Threshold, classify
 from bicyclic.curvegeom import fa_poly
 from bicyclic.detrep import DetRep, polynomial_from_unitary, random_unitary
 from bicyclic.poly2 import Poly2
 from bicyclic.stability import (TorusZeroKind, bidisk_zero_scan,
-                                torus_zero_classification)
+                                torus_zero_classification, zero_reports)
 
 
 def grid_scan_oracle(f, radial_steps=64, angular_steps=128):
@@ -34,6 +35,23 @@ def grid_scan_oracle(f, radial_steps=64, angular_steps=128):
             elif inner[s] and np.any(np.abs(rts) < 1.0 - OPEN_MARGIN):
                 return True
     return False
+
+
+def bisection_touch_oracle(a, angles):
+    """Touch angles by 60 vectorised bisections on lambda_min'(t), over the
+    same brackets as the engine's search: the reference for its
+    interpolating steps."""
+    ts = np.sort(np.concatenate([angles, stability._arc_points(angles, (0.25, 0.5, 0.75))]))
+    da = 1j * np.arange(a.shape[0])[:, None] * a
+    d = stability._slopes(a, da, ts)
+    starts = np.flatnonzero((d < 0) & (np.roll(d, -1) >= 0))
+    lo = ts[starts]
+    hi = np.append(ts, ts[0] + 2 * np.pi)[starts + 1]
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        down = stability._slopes(a, da, mid) < 0
+        lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
+    return (lo + hi) / 2
 
 
 def two_minus_powers(k, d=0.0):
@@ -282,3 +300,78 @@ def test_swap_and_rotation_invariance(kind, k, seed, th1, th2):
     base = signature(f)
     assert signature(f.swap_variables()) == base
     assert signature(rot) == base
+
+
+def _touch_families():
+    """2 - z1^k - z2^k, rotated 2 - u z1^k - v z2^l and determinantal f(r z)
+    off the curve radius: inputs whose torus zeros are touch points."""
+    rng = np.random.default_rng(9)
+    polys = [two_minus_powers(k) for k in range(1, 9)]
+    for k, l in [(1, 1), (1, 3), (2, 5), (3, 2), (4, 4), (6, 1), (7, 8)]:
+        a = np.zeros((k + 1, l + 1), dtype=complex)
+        a[0, 0] = 2.0
+        a[k, 0], a[0, l] = -np.exp(2j * np.pi * rng.random(2))
+        polys.append(Poly2(a))
+    for size in range(2, 7):
+        n = int(rng.integers(1, min(size, 5)))
+        f = polynomial_from_unitary(DetRep(1.0, random_unitary(size, rng), n, size - n))
+        polys += [radial(f, 0.9), radial(f, 1 / 0.9)]
+    return polys
+
+
+# for some theta in this grid the double resultant root of
+# 2 - e^{i theta} z1 - z2 comes out as two equal crossing angles
+_DOUBLE_ANGLE_THETAS = np.concatenate([np.logspace(-14, -1, 40), -np.logspace(-14, -1, 40),
+                                       np.pi + np.logspace(-12, -2, 12)])
+
+
+class TestTouchSearch:
+    def test_matches_bisection_oracle(self):
+        for f in _touch_families():
+            a = f.coeffs / f.scale
+            crossing = stability._crossing_angles(a)
+            assert crossing is not None
+            ts = stability._touch_points(a, crossing[0])
+            ref = bisection_touch_oracle(a, crossing[0])
+            assert ts.shape == ref.shape
+            assert np.abs(ts - ref).max(initial=0.0) <= 1e-13
+
+    def test_slope_calls_within_bisection_budget(self, monkeypatch, rng):
+        calls, per_search = [0], []
+        slopes, touch = stability._slopes, stability._touch_points
+
+        def counted_slopes(*args):
+            calls[0] += 1
+            return slopes(*args)
+
+        def counted_touch(*args):
+            calls[0] = 0
+            out = touch(*args)
+            per_search.append(calls[0])
+            return out
+
+        monkeypatch.setattr(stability, "_slopes", counted_slopes)
+        monkeypatch.setattr(stability, "_touch_points", counted_touch)
+        for f in _touch_families():
+            zero_reports(f)
+        # superlinear on the touch families
+        assert per_search and max(per_search) <= 20
+        for shape in [(2, 2), (3, 4), (4, 3), (5, 5)] * 5:
+            zero_reports(Poly2(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+        for th in _DOUBLE_ANGLE_THETAS:
+            zero_reports(Poly2([[2, -1], [-np.exp(1j * th), 0]]))
+        # never beyond the bracketing pass and 60 bisections
+        assert max(per_search) <= 61
+
+    def test_double_crossing_angle_touch_point(self):
+        # f = 2 - e^{i theta} z1 - z2 vanishes on the torus at (e^{-i theta}, 1)
+        # only; the bracket comes from the quarter points of the arcs
+        missed = []
+        for th in _DOUBLE_ANGLE_THETAS:
+            f = Poly2([[2, -1], [-np.exp(1j * th), 0]])
+            verdict = classify([f])
+            pts = verdict.per_factor[0].torus_zeros.points
+            if (verdict.threshold is not Threshold.CYCLIC_IFF_ALPHA_LEQ_ONE or len(pts) != 1
+                    or abs(pts[0][0] - np.exp(-1j * th)) > 1e-10 or abs(pts[0][1] - 1) > 1e-10):
+                missed.append(th)
+        assert not missed

@@ -70,10 +70,6 @@ class CurveMeasure:
     profile: str
     support: tuple[float, float]
 
-    @property
-    def quadrature_nodes(self) -> int:
-        return self.branch.t.size
-
 
 def make_uniform_measure(branch: CurveBranch) -> CurveMeasure:
     h = branch.spacing
@@ -346,25 +342,24 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int,
     torus zeros; Q = Q0^N / f is evaluated on a power-of-two torus lattice
     (set to zero at the zeros of f), transformed, and the weighted sums
     sum |Q_hat(k,l)|^2 (k+1)^b (l+1)^b over k, l >= 0 are reported at nested
-    cutoffs for b in {1, 2}.
+    cutoffs for b in {1, 2}.  Q0 is one factor per variable, so its lattice
+    values are the outer product of two products over the roots of unity.
     """
     if grid < 256 or grid & (grid - 1):
         raise ValueError("grid must be a power of two, at least 256")
     scale = f.scale
     fv = lattice_values(f, grid)
 
-    q0 = Poly2.constant(1.0)
-    for (z1, z2) in zeros:
-        fac1 = Poly2(np.array([[-z1], [1.0]], dtype=complex)) ** q
-        fac2 = Poly2(np.array([[-z2, 1.0]], dtype=complex)) ** q
-        q0 = q0 * fac1 * fac2
-    q0v = lattice_values(q0, grid) ** N
+    w = np.exp(1j * TWO_PI * np.arange(grid) / grid)
+    zeta = np.asarray(zeros, dtype=complex).reshape(-1, 2)
+    a = np.prod(w[:, None] - zeta[:, 0], axis=1) ** q
+    b = np.prod(w[:, None] - zeta[:, 1], axis=1) ** q
+    q0v = np.outer(a ** N, b ** N)
 
     tiny = np.abs(fv) <= 1e-10 * scale
     if tiny.any():
-        th = TWO_PI * np.arange(grid) / grid
         for i, j in zip(*np.nonzero(tiny)):
-            p1, p2 = np.exp(1j * th[i]), np.exp(1j * th[j])
+            p1, p2 = w[i], w[j]
             if not any(abs(p1 - z1) + abs(p2 - z2) < SAME_POINT_TOL for (z1, z2) in zeros):
                 raise ValueError(
                     f"f vanishes on the lattice at ({p1:.6g}, {p2:.6g}) away from "

@@ -24,7 +24,7 @@ from .curvegeom import _centered_window, curve_type_at, fa_poly, trace_branch
 from .detrep import (DetRep, load_pair_dataset, polynomial_from_unitary,
                      random_unitary)
 from .dirichlet import AlphaSpace, distance_profile, profile_csv_rows
-from .poly2 import Poly2
+from .poly2 import Poly2, complex_from_pair
 from .stability import TorusZeroKind, torus_zero_classification, zero_reports
 
 EXIT_CODES = {
@@ -81,7 +81,9 @@ def _load_poly(path: str) -> Poly2:
 def _load_matrix(path: str) -> np.ndarray:
     with open(path) as fh:
         raw = json.load(fh)
-    return np.array([[complex(c[0], c[1]) for c in row] for row in raw])
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise ValueError("matrix JSON must be a list of rows of [re, im] pairs")
+    return np.array([[complex_from_pair(c) for c in row] for row in raw])
 
 
 def _cmd_classify(cfg: RunConfig, args) -> int:

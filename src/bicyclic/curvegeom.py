@@ -124,10 +124,6 @@ class CurveBranch:
         resid = float(np.abs(A @ sol - self.m).max())
         return resid <= AFFINE_TOL * max(1.0, float(np.abs(self.m).max()))
 
-    def point(self, index: int) -> tuple[complex, complex]:
-        return (complex(np.exp(1j * self.t[index])),
-                complex(np.exp(1j * self.m[index])))
-
     def csv_rows(self) -> list[str]:
         rows = ["t,m,dm,d2m"]
         for i in range(self.t.size):

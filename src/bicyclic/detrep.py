@@ -40,7 +40,7 @@ class DetRep:
         if U.shape != (size, size):
             raise ValueError(f"unitary must be {size}x{size}, got {U.shape}")
         err = np.abs(U.conj().T @ U - np.eye(size)).max()
-        if err > UNITARITY_TOL:
+        if not err <= UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
         object.__setattr__(self, "U", U)
 

@@ -23,12 +23,9 @@ from .poly2 import Poly2
 
 @dataclass(frozen=True)
 class AlphaSpace:
-    """Dirichlet-type space parameter; weight(k,l) = (k+1)^a (l+1)^a."""
+    """Dirichlet-type space parameter; the weight of (k, l) is (k+1)^a (l+1)^a."""
 
     alpha: float
-
-    def weight(self, k: int, l: int) -> float:
-        return float((k + 1) ** self.alpha * (l + 1) ** self.alpha)
 
     def weight_grid(self, shape: tuple[int, int]) -> np.ndarray:
         K, L = shape

@@ -9,6 +9,7 @@ All operations are pure; instances are treated as immutable values.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,8 @@ SAME_POINT_TOL = 1e-6       # torus points with |dz1| + |dz2| below this coincid
 def _trim_grid(a: np.ndarray) -> np.ndarray:
     mags = np.abs(a)
     top = mags.max()
+    if not np.isfinite(top):
+        raise ValueError("non-finite coefficient")
     if top == 0.0:
         return np.zeros((1, 1), dtype=complex)
     thr = DEFAULT_TRIM_TOL * top
@@ -100,10 +103,6 @@ class Poly2:
         """Largest coefficient modulus (0 for the zero polynomial)."""
         return float(np.abs(self.coeffs).max())
 
-    def depends_on(self, axis: int) -> bool:
-        n, m = self.bidegree
-        return (n > 0) if axis == 1 else (m > 0)
-
     @property
     def is_univariate(self) -> bool:
         n, m = self.bidegree
@@ -169,18 +168,6 @@ class Poly2:
 
     __rmul__ = __mul__
 
-    def __pow__(self, p: int) -> "Poly2":
-        if p < 0:
-            raise ValueError("negative power")
-        out = Poly2.constant(1.0)
-        base = self
-        while p:
-            if p & 1:
-                out = out * base
-            base = base * base
-            p >>= 1
-        return out
-
     # -- calculus and reflection --------------------------------------------
 
     def partial_derivative(self, axis: int) -> "Poly2":
@@ -216,9 +203,6 @@ class Poly2:
     def swap_variables(self) -> "Poly2":
         return Poly2(self.coeffs.T)
 
-    def conjugate_coeffs(self) -> "Poly2":
-        return Poly2(np.conj(self.coeffs))
-
     def univariate_coeffs(self) -> np.ndarray:
         """1-D coefficient array for polynomials in a single variable."""
         n, m = self.bidegree
@@ -243,19 +227,25 @@ class Poly2:
             rows = d["coeffs"]
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"malformed polynomial JSON: {e}") from None
-        if len(rows) != n + 1 or any(len(r) != m + 1 for r in rows):
+        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 0
+                   for k in (n, m)):
+            raise ValueError(f"bidegree must be two non-negative integers, got {[n, m]!r}")
+        if (not isinstance(rows, list) or len(rows) != n + 1
+                or any(not isinstance(r, list) or len(r) != m + 1 for r in rows)):
             raise ValueError("ragged or inconsistent coefficient grid")
-        a = np.empty((n + 1, m + 1), dtype=complex)
-        for k, row in enumerate(rows):
-            for l, pair in enumerate(row):
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise ValueError("coefficients must be [re, im] pairs")
-                a[k, l] = complex(pair[0], pair[1])
-        return cls(a)
+        return cls([[complex_from_pair(pair) for pair in row] for row in rows])
 
     def __repr__(self) -> str:
         n, m = self.bidegree
         return f"Poly2(bidegree=({n},{m}), scale={self.scale:.3g})"
+
+
+def complex_from_pair(pair) -> complex:
+    """The complex number re + i im of a JSON pair [re, im] of real numbers."""
+    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+            or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in pair)):
+        raise ValueError(f"expected an [re, im] pair of real numbers, got {pair!r}")
+    return complex(pair[0], pair[1])
 
 
 def _as_poly(x) -> Poly2:

@@ -31,9 +31,8 @@ import numpy as np
 
 from ._roots import newton_polish, roots_low_first
 from .poly2 import (SAME_POINT_TOL, SYMMETRY_TOL, ZERO_VALUE_TOL, Poly2,
-                    UnimodularMatch, lattice_values, slice_rows,
-                    sylvester_resultant_z2, unimodular_reflection_match,
-                    unimodular_slice_roots)
+                    UnimodularMatch, slice_rows, sylvester_resultant_z2,
+                    unimodular_reflection_match, unimodular_slice_roots)
 
 OPEN_MARGIN = 1e-7          # modulus band separating open from boundary roots
 
@@ -54,7 +53,6 @@ class BidiskStabilityReport:
     has_zero_in_open_bidisk: bool
     has_zero_on_closed_bidisk: bool
     witness: tuple[complex, complex] | None
-    min_modulus_estimate: float
 
     def to_dict(self) -> dict:
         w = None
@@ -65,7 +63,6 @@ class BidiskStabilityReport:
             "has_zero_in_open_bidisk": self.has_zero_in_open_bidisk,
             "has_zero_on_closed_bidisk": self.has_zero_on_closed_bidisk,
             "witness": w,
-            "min_modulus_estimate": self.min_modulus_estimate,
         }
 
 
@@ -255,11 +252,6 @@ def _open_witness(f: Poly2, t: float) -> tuple[complex, complex] | None:
     return None
 
 
-def _min_modulus(f: Poly2, zeros) -> float:
-    """min |f| over the 128 x 128 torus lattice and the given points."""
-    return float(min([np.abs(lattice_values(f, 128)).min()] + [abs(f(*p)) for p in zeros]))
-
-
 def _slice_engine(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
     """Both zero reports of a bivariate f."""
     a = f.coeffs / f.scale
@@ -298,7 +290,6 @@ def _slice_engine(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
         has_zero_in_open_bidisk=has_open,
         has_zero_on_closed_bidisk=has_open or bool(points) or crossing is None or vanishing,
         witness=witness or (points[0] if points else None),
-        min_modulus_estimate=_min_modulus(f, points + ([witness] if witness else [])),
     )
     return report, torus
 
@@ -316,7 +307,6 @@ def _univariate_reports(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
         has_zero_in_open_bidisk=any(is_open),
         has_zero_on_closed_bidisk=bool(hits),
         witness=witness,
-        min_modulus_estimate=_min_modulus(f, hits),
     )
     on_circle = not all(is_open)      # a hit that is not open is in the band
     torus = TorusZeroSet(TorusZeroKind.CURVE if on_circle else TorusZeroKind.EMPTY,
@@ -340,10 +330,8 @@ def bidisk_zero_scan(f: Poly2) -> BidiskStabilityReport:
 
     Bivariate input goes through the slice engine, exact up to rounding;
     univariate input through its roots.  The witness is a zero in the open
-    bidisk if there is one, else a zero found on the closed bidisk.  The
-    minimum modulus is over a 128 x 128 torus lattice and the zeros found;
-    for zero-free f it estimates the minimum over the closed bidisk
-    (maximum principle).
+    bidisk if there is one, else a zero found on the closed bidisk, else
+    None.
     """
     return zero_reports(f)[0]
 

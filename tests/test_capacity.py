@@ -7,7 +7,7 @@ from bicyclic.capacity import (TrendVerdict, cofactor_experiment, decay_fit,
                                riesz_energy, trend_verdict)
 from bicyclic.classifier import classify
 from bicyclic.curvegeom import closed_form_branch_fa, fa_poly, trace_branch
-from bicyclic.poly2 import Poly2
+from bicyclic.poly2 import Poly2, lattice_values
 
 TWO_PI = 2 * np.pi
 
@@ -224,6 +224,30 @@ class TestCofactor:
         assert len(zeros) == 4
         report = cofactor_experiment(f, list(zeros), 1, 4, 512)
         assert report.sup_norm == pytest.approx(16384.0, rel=1e-9)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("N", [1, 4])
+    def test_q0_matches_poly2_product(self, q, N):
+        # reference: Q0 built as a Poly2 product and put on the lattice by FFT
+        f = Poly2([[2, 0, -1], [0, 0, 0], [-1, 0, 0]])
+        zeros = [(s1 + 0j, s2 + 0j) for s1 in (1, -1) for s2 in (1, -1)]
+        grid = 256
+        q0 = Poly2.constant(1.0)
+        for z1, z2 in zeros:
+            for _ in range(q):
+                q0 = q0 * Poly2([[-z1], [1.0]]) * Poly2([[-z2, 1.0]])
+        fv = lattice_values(f, grid)
+        good = np.abs(fv) > 1e-10 * f.scale
+        qv = np.zeros_like(fv)
+        qv[good] = lattice_values(q0, grid)[good] ** N / fv[good]
+        qhat2 = np.abs(np.fft.fft2(qv) / grid ** 2) ** 2
+        report = cofactor_experiment(f, zeros, q, N, grid)
+        assert report.sup_norm == pytest.approx(np.abs(qv).max(), rel=1e-12)
+        for beta in (1, 2):
+            wk = (np.arange(grid) + 1.0) ** beta
+            weighted = qhat2 * wk[:, None] * wk[None, :]
+            expect = [weighted[: c + 1, : c + 1].sum() for c in report.cutoffs]
+            assert report.weighted_sums[beta] == pytest.approx(expect, rel=1e-12)
 
     def test_unexplained_zero_rejected(self, two_minus):
         with pytest.raises(ValueError, match="away from"):

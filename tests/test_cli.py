@@ -153,6 +153,38 @@ class TestErrors:
         doc = json.loads((tmp_path / "o" / "error.json").read_text())
         assert "error" in doc
 
+    @pytest.mark.parametrize("text, problem", [
+        ('{"bidegree": ["1", 1], "coeffs": [[[1, 0], [1, 0]], [[1, 0], [1, 0]]]}',
+         "bidegree"),
+        ('{"bidegree": [-1, 0], "coeffs": []}', "bidegree"),
+        ('{"bidegree": [0, 0], "coeffs": [[["a", 0]]]}', "pair of real numbers"),
+        ('{"bidegree": [0, 0], "coeffs": [[[null, 0]]]}', "pair of real numbers"),
+        ('{"bidegree": [0, 0], "coeffs": [[[1e400, 0]]]}', "non-finite coefficient"),
+        ('{"bidegree": [0, 0], "coeffs": [[[NaN, 0]]]}', "non-finite coefficient"),
+    ], ids=["string-bidegree", "negative-bidegree", "string-coeff", "null-coeff",
+            "overflow-coeff", "nan-coeff"])
+    def test_malformed_polynomial(self, tmp_path, text, problem):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        rc = run(["--out", str(tmp_path / "o"), "classify", "--factors", str(p)])
+        assert rc == EXIT_NUMERICAL
+        doc = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert problem in doc["error"]
+
+    @pytest.mark.parametrize("text, problem", [
+        ('[[["x", 0], [0, 0]], [[0, 0], [1, 0]]]', "pair of real numbers"),
+        ('[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]', "not unitary"),
+    ], ids=["string-entry", "nan-entry"])
+    def test_malformed_unitary(self, tmp_path, text, problem):
+        u = tmp_path / "u.json"
+        u.write_text(text)
+        rc = run(["--out", str(tmp_path / "o"), "detgen", "--size", "1", "1",
+                  "--unitary", str(u)])
+        assert rc == EXIT_NUMERICAL
+        doc = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert problem in doc["error"]
+        assert not (tmp_path / "o" / "detgen.json").exists()
+
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

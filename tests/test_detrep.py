@@ -39,6 +39,10 @@ class TestPolynomialFromUnitary:
         with pytest.raises(ValueError, match="unitary"):
             DetRep(1.0, np.array([[1.0, 0.0], [0.0, 1.1]]), 1, 1)
 
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(ValueError, match="unitary"):
+            DetRep(1.0, np.full((2, 2), np.nan), 1, 1)
+
     def test_shape_validated(self):
         with pytest.raises(ValueError):
             DetRep(1.0, np.eye(3), 1, 1)

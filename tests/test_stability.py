@@ -85,7 +85,6 @@ class TestBidiskScan:
     def test_triangle_inequality_clear(self):
         r = bidisk_zero_scan(Poly2([[3, 1], [1, 0]]))
         assert not r.has_zero_on_closed_bidisk
-        assert r.min_modulus_estimate >= 0.9
 
     def test_f0_boundary_only(self, f0):
         r = bidisk_zero_scan(f0)
@@ -128,7 +127,6 @@ class TestBidiskScan:
     def test_constant(self):
         r = bidisk_zero_scan(Poly2.constant(2.0))
         assert not r.has_zero_on_closed_bidisk
-        assert r.min_modulus_estimate == 2.0
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

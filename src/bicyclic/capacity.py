@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvegeom import CurveBranch, curve_type_at, trace_branch
-from .poly2 import SAME_POINT_TOL, Poly2, lattice_values
+from .poly2 import SAME_POINT_TOL, Poly2
 from .stability import TorusZeroKind, torus_zero_classification
 
 TWO_PI = 2.0 * np.pi
@@ -122,17 +122,25 @@ def fourier_coefficients(mu: CurveMeasure, K: int) -> FourierTable:
     Requires at least 8K branch nodes to keep the highest requested mode
     well resolved.  The sum runs over the nodes where psi is nonzero, since
     the others add exact zeros: a bump pays only for its support, a uniform
-    measure for every node.  Conjugate symmetry is enforced exactly.
+    measure for every node.  psi is real, so mu_hat(-k,-l) = conj(mu_hat(k,l)):
+    only the rows k >= 0 are summed, the exponentials of the negative
+    frequencies are the conjugates of the positive ones, the rows k < 0 are
+    filled by conjugation and row 0 is symmetrized, so the symmetry holds
+    exactly.
     """
     branch = mu.branch
     if branch.t.size < 8 * K:
         raise ValueError(f"branch resolution {branch.t.size} too low for K = {K}")
     support = np.flatnonzero(mu.psi)
-    ks = np.arange(-K, K + 1)
-    E1 = np.exp(-1j * np.outer(ks, branch.t[support]))    # (2K+1, support size)
+    ks = np.arange(K + 1)
+    E1 = np.exp(-1j * np.outer(ks, branch.t[support]))    # (K+1, support size)
     E2 = np.exp(-1j * np.outer(ks, branch.m[support]))
-    table = (E1 * (mu.psi[support] * branch.spacing)[None, :]) @ E2.T
-    table = 0.5 * (table + np.conj(table[::-1, ::-1]))
+    E2 = np.concatenate([np.conj(E2[:0:-1]), E2])          # l = -K..K
+    table = np.empty((2 * K + 1, 2 * K + 1), dtype=complex)
+    top = table[K:]
+    np.matmul(E1 * (mu.psi[support] * branch.spacing)[None, :], E2.T, out=top)
+    top[0] = 0.5 * (top[0] + np.conj(top[0, ::-1]))
+    table[:K] = np.conj(top[:0:-1, ::-1])
     return FourierTable(K, table)
 
 
@@ -334,6 +342,14 @@ class CofactorReport:
         }
 
 
+def _lattice_values(f: Poly2, w: np.ndarray) -> np.ndarray:
+    """f(w[i], w[j]) over the roots of unity w[i] = exp(2 pi i / grid)."""
+    grid = w.size
+    powers = np.arange(grid)[:, None]
+    n, m = f.bidegree
+    return w[powers * np.arange(n + 1) % grid] @ f.coeffs @ w[powers * np.arange(m + 1) % grid].T
+
+
 def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int,
                         cutoffs=None) -> CofactorReport:
     """Spectral membership experiment for Q = prod (z - zeta)^(qN) / f.
@@ -342,21 +358,22 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int,
     torus zeros; Q = Q0^N / f is evaluated on a power-of-two torus lattice
     (set to zero at the zeros of f), transformed, and the weighted sums
     sum |Q_hat(k,l)|^2 (k+1)^b (l+1)^b over k, l >= 0 are reported at nested
-    cutoffs for b in {1, 2}.  Q0 is one factor per variable, so its lattice
-    values are the outer product of two products over the roots of unity.
+    cutoffs for b in {1, 2}.  With w the grid's roots of unity, f on the
+    lattice is V1 a V2^T with V[i, k] = w^(i k mod grid) read from the one
+    table of w, and Q0, one factor per variable, is the outer product of two
+    products over w.
     """
     if grid < 256 or grid & (grid - 1):
         raise ValueError("grid must be a power of two, at least 256")
-    scale = f.scale
-    fv = lattice_values(f, grid)
-
     w = np.exp(1j * TWO_PI * np.arange(grid) / grid)
+    fv = _lattice_values(f, w)
+
     zeta = np.asarray(zeros, dtype=complex).reshape(-1, 2)
     a = np.prod(w[:, None] - zeta[:, 0], axis=1) ** q
     b = np.prod(w[:, None] - zeta[:, 1], axis=1) ** q
     q0v = np.outer(a ** N, b ** N)
 
-    tiny = np.abs(fv) <= 1e-10 * scale
+    tiny = np.abs(fv) <= 1e-10 * f.scale
     if tiny.any():
         for i, j in zip(*np.nonzero(tiny)):
             p1, p2 = w[i], w[j]
@@ -364,20 +381,19 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int,
                 raise ValueError(
                     f"f vanishes on the lattice at ({p1:.6g}, {p2:.6g}) away from "
                     "the supplied zeros")
-    qv = np.zeros_like(fv)
-    good = ~tiny
-    qv[good] = q0v[good] / fv[good]
+    qv = np.divide(q0v, fv, out=np.zeros_like(fv), where=~tiny)
     sup = float(np.abs(qv).max())
 
-    qhat2 = np.abs(np.fft.fft2(qv) / (grid * grid)) ** 2
     if cutoffs is None:
         cutoffs = [grid // 8, grid // 4, grid // 2 - 1]
     cutoffs = [int(c) for c in cutoffs]
     if any(c >= grid // 2 + 1 for c in cutoffs):
         raise ValueError("cutoffs must stay below the Nyquist index")
 
+    # fft2's two passes (last axis first), each kept to the modes k, l <= kmax
     kmax = max(cutoffs)
-    block = qhat2[: kmax + 1, : kmax + 1]
+    qhat = np.fft.fft(np.fft.fft(qv, axis=1)[:, : kmax + 1], axis=0)[: kmax + 1]
+    block = np.abs(qhat / (grid * grid)) ** 2
     sums: dict = {}
     verdicts: dict = {}
     for beta in (1, 2):

@@ -10,6 +10,7 @@ and exit 70.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -319,7 +320,13 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every `run` call.
+
+    parse_args hands a default to the namespace as the object itself, so the
+    sequence defaults are tuples: no call can change what the next one sees.
+    """
     ap = argparse.ArgumentParser(
         prog="bicyclic",
         description="Classify bivariate polynomials by cyclicity in "
@@ -339,13 +346,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="cyclicity classification of a factor list")
     p.add_argument("--factors", nargs="+", required=True)
-    p.add_argument("--alpha", type=float, nargs="*", default=[])
-    p.add_argument("--caps", type=int, nargs="*", default=[0, 4, 8])
+    p.add_argument("--alpha", type=float, nargs="*", default=())
+    p.add_argument("--caps", type=int, nargs="*", default=(0, 4, 8))
 
     p = sub.add_parser("approximant", help="optimal-approximant distance profile")
     add_poly(p)
     p.add_argument("--alpha", type=float, nargs=1, required=True)
-    p.add_argument("--caps", type=int, nargs="+", default=[0, 4, 8, 12])
+    p.add_argument("--caps", type=int, nargs="+", default=(0, 4, 8, 12))
 
     p = sub.add_parser("detgen", help="polynomial from a unitary matrix")
     p.add_argument("--size", type=int, nargs=2, metavar=("N", "M"))

@@ -9,6 +9,7 @@ resolutions and the tangential direction are tested explicitly.
 """
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 
@@ -164,36 +165,45 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
     t = t0 + (t1 - t0) * np.arange(nodes) / nodes
     all_roots, vanishing = unimodular_slice_roots(f, np.exp(1j * t))
 
-    m = np.empty(nodes)
+    # the selection runs on Python scalars: the roots of node i are
+    # roots[ends[i] - len : ends[i]], their arguments come from one np.angle
+    flat = np.concatenate(all_roots)
+    roots, angles = flat.tolist(), np.angle(flat).tolist()
+    ends = np.cumsum([r.size for r in all_roots]).tolist()
+    ts, vanish = t.tolist(), vanishing.tolist()
+    h = ts[1] - ts[0]
+    m = []
     prev = None
     slope = 0.0
     for i in range(nodes):
-        if vanishing[i]:
-            raise ValueError(f"the circle slice vanishes identically at t = {t[i]:.6f}")
-        uni = all_roots[i]
-        if uni.size == 0:
-            raise ValueError(f"no unimodular z2 root at t = {t[i]:.6f}")
+        if vanish[i]:
+            raise ValueError(f"the circle slice vanishes identically at t = {ts[i]:.6f}")
+        hi = ends[i]
+        lo = ends[i - 1] if i else 0
+        if lo == hi:
+            raise ValueError(f"no unimodular z2 root at t = {ts[i]:.6f}")
         if prev is None:
             if start_hint is None:
-                j = int(np.argmin(np.angle(uni) % TWO_PI))
+                j = min(range(lo, hi), key=lambda r: angles[r] % TWO_PI)
             else:
-                j = int(np.argmin(np.abs(uni - np.exp(1j * start_hint))))
+                target = cmath.exp(1j * start_hint)
+                j = min(range(lo, hi), key=lambda r: abs(roots[r] - target))
         else:
-            predicted = np.exp(1j * (prev + slope * (t[1] - t[0])))
-            j = int(np.argmin(np.abs(uni - predicted)))
-        if uni.size > 1:
-            d = np.sort(np.abs(uni - uni[j]))
+            predicted = cmath.exp(1j * (prev + slope * h))
+            j = min(range(lo, hi), key=lambda r: abs(roots[r] - predicted))
+        if hi - lo > 1:
+            d = sorted(abs(roots[r] - roots[j]) for r in range(lo, hi))
             if d[1] < ROOT_COLLISION_TOL:
                 raise ValueError(
-                    f"branch ambiguity at t = {t[i]:.6f}: two roots within {d[1]:.2e}")
-        arg = float(np.angle(uni[j]))
-        if prev is None:
-            m[i] = arg
-        else:
-            k = round((prev + slope * (t[1] - t[0]) - arg) / TWO_PI)
-            m[i] = arg + TWO_PI * k
-            slope = (m[i] - prev) / (t[1] - t[0])
-        prev = m[i]
+                    f"branch ambiguity at t = {ts[i]:.6f}: two roots within {d[1]:.2e}")
+        arg = angles[j]
+        if prev is not None:
+            k = round((prev + slope * h - arg) / TWO_PI)
+            arg += TWO_PI * k
+            slope = (arg - prev) / h
+        m.append(arg)
+        prev = arg
+    m = np.array(m)
 
     # on-curve validation
     vals = np.abs(f(np.exp(1j * t), np.exp(1j * m)))

@@ -7,12 +7,15 @@ degree i + j <= N; it is computed from the normal equations with the Gram
 matrix of the shifted copies of f.  That matrix is banded: the shifts by
 (i, j) and (i', j') overlap only when |i - i'| <= n and |j - j'| <= m, and
 the weight is a product of one weight per variable, so every offset of the
-band is one small Hankel product of f's weighted autocorrelation.  The
-arithmetic is real when f has real coefficients.  A whole distance profile
-shares one Gram matrix, built at the largest cap.
+band is one small Hankel product of f's weighted autocorrelation.  It is
+also block diagonal over the cosets of the lattice spanned by the
+differences of supp f.  The arithmetic is real when f has real
+coefficients.  A whole distance profile shares one Gram matrix, built at
+the largest cap.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,23 +133,10 @@ def optimal_approximant(f: Poly2, space: AlphaSpace, degree_cap: int) -> Approxi
     return distance_profile(f, space, [degree_cap])[0]
 
 
-def gram_matrix(f: Poly2, space: AlphaSpace, cap: int) -> np.ndarray:
-    """Gram matrix <z^b' f, z^b f> of the shifts of f by the total-degree
-    basis of `cap`, real when f has real coefficients.
-
-    The entry for b = (i, j), b' = (i + d, j + e) is
-
-        sum_{p,q} w_{p+i} w_{q+j} conj(a[p,q]) a[p-d,q-e] = (Hk C Hl^T)[i, j]
-
-    with the Hankel matrices Hk[i, p] = w_{p+i}, Hl[j, q] = w_{q+j} of the
-    weight in each variable and f's autocorrelation term
-    C[p, q] = conj(a[p,q]) a[p-d,q-e], which vanishes unless |d| <= n and
-    |e| <= m.  Each of those offsets is one small product, scattered into
-    the band.
-    """
+def _gram(f: Poly2, space: AlphaSpace, cap: int, bi: np.ndarray, bj: np.ndarray) -> np.ndarray:
+    """Gram matrix of the shifts of f by the basis (bi, bj), in that order."""
     a = f.coeffs if np.any(f.coeffs.imag) else f.coeffs.real
     n, m = a.shape[0] - 1, a.shape[1] - 1
-    bi, bj = np.array(_total_degree_basis(cap)).T
 
     def hankel(deg):
         w = (np.arange(deg + cap + 1) + 1.0) ** space.alpha
@@ -162,6 +152,8 @@ def gram_matrix(f: Poly2, space: AlphaSpace, cap: int) -> np.ndarray:
     for d in range(-n, n + 1):
         for e in range(-m, m + 1):
             C = np.conj(a) * framed[n - d: 2 * n + 1 - d, m - e: 2 * m + 1 - e]
+            if not C.any():
+                continue    # (d, e) is no difference of supp f: a zero band
             T = Hk @ C @ Hl.T
             i, j = bi + d, bj + e
             ok = (i >= 0) & (j >= 0) & (i + j <= cap)
@@ -169,16 +161,86 @@ def gram_matrix(f: Poly2, space: AlphaSpace, cap: int) -> np.ndarray:
     return G
 
 
+def gram_matrix(f: Poly2, space: AlphaSpace, cap: int) -> np.ndarray:
+    """Gram matrix <z^b' f, z^b f> of the shifts of f by the total-degree
+    basis of `cap`, real when f has real coefficients.
+
+    The entry for b = (i, j), b' = (i + d, j + e) is
+
+        sum_{p,q} w_{p+i} w_{q+j} conj(a[p,q]) a[p-d,q-e] = (Hk C Hl^T)[i, j]
+
+    with the Hankel matrices Hk[i, p] = w_{p+i}, Hl[j, q] = w_{q+j} of the
+    weight in each variable and f's autocorrelation term
+    C[p, q] = conj(a[p,q]) a[p-d,q-e], which vanishes unless (d, e) is a
+    difference of two points of supp f, so |d| <= n and |e| <= m.  Each
+    such offset is one small product, scattered into the band.
+    """
+    bi, bj = np.array(_total_degree_basis(cap)).T
+    return _gram(f, space, cap, bi, bj)
+
+
+def _extended_gcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(x, y) = s x + t y, for x, y >= 0."""
+    s, s1, t, t1 = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y = y, x - q * y
+        s, s1 = s1, s - q * s1
+        t, t1 = t1, t - q * t1
+    return x, s, t
+
+
+def _support_lattice(f: Poly2) -> tuple[int, int, int]:
+    """Hermite basis {(b, c), (a, 0)} of the lattice L spanned by the
+    differences of supp f, returned as (a, b, c).
+
+    c >= 0 and a >= 0, a zero entry meaning that generator is absent, and
+    0 <= b < a when a > 0.  Each difference is folded in by one extended
+    Euclid step on the second coordinate; the unimodular combination that
+    cancels it leaves a vector (x, 0), which joins a by a gcd.
+    """
+    k, l = np.nonzero(f.coeffs)
+    a = b = c = 0
+    for x, y in zip((k - k[0]).tolist(), (l - l[0]).tolist()):
+        if y < 0:
+            x, y = -x, -y
+        g, s, t = _extended_gcd(c, y)
+        if g:
+            a = math.gcd(a, (y // g) * b - (c // g) * x)
+            b, c = s * b + t * x, g
+        else:
+            a = math.gcd(a, x)
+        if a:
+            b %= a
+    return a, b, c
+
+
+def _coset_keys(lattice: tuple[int, int, int], bi: np.ndarray, bj: np.ndarray) -> np.ndarray:
+    """One row per point (i, j): equal rows iff the points differ by L."""
+    a, b, c = lattice
+    r, u = bj, bi
+    if c:
+        r, u = bj % c, bi - (bj // c) * b
+    if a:
+        u = u % a
+    return np.stack([r, u], axis=1)
+
+
 def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResult]:
     """Optimal approximants for a strictly increasing list of degree caps.
 
-    The total-degree basis is ordered by degree, so the basis of each cap is
-    a prefix of the basis at max(caps) and its Gram matrix is a leading
-    block of the largest one.  Each cap costs one `eigvalsh` of its block,
-    which gives `gram_condition` (the exact 2-norm condition number
-    lambda_max / lambda_min) and rejects a block that is not positive
-    definite, and one linear solve.  The distance is evaluated directly from
-    the residual coefficients.
+    G[b, b'] = <z^b' f, z^b f> vanishes unless b' - b lies in the lattice L
+    spanned by the differences of supp f, so G is block diagonal over the
+    cosets of L.  The basis at max(caps) is ordered by (coset, degree), and
+    within each coset the basis of a cap is a prefix, so its block is a
+    leading block of that coset's block of the one Gram matrix.  Each cap
+    costs one `eigvalsh` per coset block, which gives `gram_condition`
+    (the exact 2-norm condition number max lambda_max / min lambda_min) and
+    rejects a block that is not positive definite, and one linear solve on
+    the coset of (0, 0), the only one where the right-hand side
+    <1, z^b f> = conj(a00) e_0 is nonzero.  For f whose support differences
+    span Z^2 there is one coset and the order is the degree order.  The
+    distance is evaluated directly from the residual coefficients.
     """
     caps = list(caps)
     if any(b <= a for a, b in zip(caps, caps[1:])):
@@ -189,24 +251,45 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
         raise ValueError("zero polynomial")
     if caps[0] < 0:
         raise ValueError("degree cap must be nonnegative")
-    basis = _total_degree_basis(caps[-1])
-    G = gram_matrix(f, space, caps[-1])
-    # only the shift by (0, 0) has a constant term: <1, z^b f> = conj(a00) e_0
-    rhs = np.zeros(len(basis), dtype=G.dtype)
+    cap = caps[-1]
+    bi, bj = np.array(_total_degree_basis(cap)).T
+    _, coset = np.unique(_coset_keys(_support_lattice(f), bi, bj), axis=0,
+                         return_inverse=True)
+    coset = coset.ravel()
+    home = int(coset[0])    # the coset of (0, 0), the first point by degree
+    if coset.any():
+        order = np.argsort(coset, kind="stable")
+        bi, bj, coset = bi[order], bj[order], coset[order]
+    G = _gram(f, space, cap, bi, bj)
+    # coset c starts at row starts[c] of G, its members' degrees ascending in
+    # degrees[c]; (0, 0) leads its coset
+    starts = np.flatnonzero(np.r_[True, coset[1:] != coset[:-1]]).tolist()
+    degrees = np.split(bi + bj, starts[1:])
+    s0 = starts[home]
     a00 = f.coeffs[0, 0]
-    rhs[0] = np.conj(a00) if G.dtype.kind == "c" else a00.real
+    rhs0 = np.conj(a00) if G.dtype.kind == "c" else a00.real
 
     out = []
     for N in caps:
-        B = (N + 1) * (N + 2) // 2
-        eig = np.linalg.eigvalsh(G[:B, :B])
-        if eig[0] <= 0:
-            raise ValueError(
-                f"singular Gram matrix (condition estimate {np.linalg.cond(G[:B, :B]):.3e})")
-        coeffs_vec = np.linalg.solve(G[:B, :B], rhs[:B])
-        p = Poly2.from_terms({(i, j): coeffs_vec[b] for b, (i, j) in enumerate(basis[:B])})
+        lo, hi = np.inf, 0.0
+        for s, deg in zip(starts, degrees):
+            B = int(np.searchsorted(deg, N, side="right"))
+            if B == 0:
+                continue
+            eig = np.linalg.eigvalsh(G[s: s + B, s: s + B])
+            if eig[0] <= 0:
+                raise ValueError("singular Gram matrix (condition estimate "
+                                 f"{np.linalg.cond(G[s: s + B, s: s + B]):.3e})")
+            lo, hi = min(lo, eig[0]), max(hi, eig[-1])
+        B = int(np.searchsorted(degrees[home], N, side="right"))
+        rhs = np.zeros(B, dtype=G.dtype)
+        rhs[0] = rhs0
+        coeffs = np.zeros((N + 1, N + 1), dtype=complex)
+        coeffs[bi[s0: s0 + B], bj[s0: s0 + B]] = np.linalg.solve(
+            G[s0: s0 + B, s0: s0 + B], rhs)
+        p = Poly2(coeffs)
         dist = alpha_norm(p * f - Poly2.constant(1.0), space)
-        out.append(ApproximantResult(N, p, dist, float(eig[-1] / eig[0])))
+        out.append(ApproximantResult(N, p, dist, float(hi / lo)))
     return out
 
 

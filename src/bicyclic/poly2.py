@@ -386,16 +386,6 @@ def unimodular_slice_roots(f: Poly2, z1s: np.ndarray) -> tuple[list, np.ndarray]
     return out, vanishing
 
 
-def lattice_values(f: Poly2, grid: int) -> np.ndarray:
-    """f on the grid x grid torus lattice via a zero-padded inverse FFT."""
-    n, m = f.bidegree
-    if n >= grid or m >= grid:
-        raise ValueError("grid too small for the polynomial degree")
-    padded = np.zeros((grid, grid), dtype=complex)
-    padded[: n + 1, : m + 1] = f.coeffs
-    return np.fft.ifft2(padded) * grid * grid
-
-
 def sylvester_resultant_z2(f: Poly2, g: Poly2) -> np.ndarray:
     """Resultant of f and g in z2, a univariate polynomial in z1.
 

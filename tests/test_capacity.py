@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
-from bicyclic.capacity import (TrendVerdict, cofactor_experiment, decay_fit,
+from bicyclic.capacity import (TrendVerdict, _lattice_values, cofactor_experiment, decay_fit,
                                fourier_coefficients, make_bump_measure,
                                make_uniform_measure, noncyclicity_certificate,
                                riesz_energy, trend_verdict)
 from bicyclic.classifier import classify
 from bicyclic.curvegeom import closed_form_branch_fa, fa_poly, trace_branch
-from bicyclic.poly2 import Poly2, lattice_values
+from bicyclic.poly2 import Poly2
 
 TWO_PI = 2 * np.pi
+
+
+def lattice_values(f, grid):
+    """Oracle: f on the grid x grid torus lattice by a zero-padded inverse FFT."""
+    n, m = f.bidegree
+    padded = np.zeros((grid, grid), dtype=complex)
+    padded[: n + 1, : m + 1] = f.coeffs
+    return np.fft.ifft2(padded) * grid * grid
 
 
 def line_table(K=64, nodes=1024):
@@ -32,20 +40,35 @@ def dense_fourier_oracle(mu, K):
     return 0.5 * (table + np.conj(table[::-1, ::-1]))
 
 
+MEASURE_KINDS = ["closed-form bump", "narrow traced bump", "uniform"]
+
+
+def oracle_measure(kind):
+    if kind == "closed-form bump":
+        branch = closed_form_branch_fa(0.5, (0.0, TWO_PI), 2048)
+        return make_bump_measure(branch, np.pi / 2, 0.9)
+    if kind == "narrow traced bump":
+        mu = make_bump_measure(trace_branch(fa_poly(0.25), (0.0, TWO_PI), 2048), 2.0, 0.15)
+        assert np.count_nonzero(mu.psi) < 0.05 * mu.psi.size
+        return mu
+    return make_uniform_measure(trace_branch(Poly2([[1, 0], [0, 1]]), (0.0, TWO_PI), 1024))
+
+
 class TestFourierCoefficients:
-    @pytest.mark.parametrize("kind", ["closed-form bump", "narrow traced bump", "uniform"])
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
     def test_support_sum_matches_dense_oracle(self, kind):
-        if kind == "closed-form bump":
-            branch = closed_form_branch_fa(0.5, (0.0, TWO_PI), 2048)
-            mu = make_bump_measure(branch, np.pi / 2, 0.9)
-        elif kind == "narrow traced bump":
-            mu = make_bump_measure(trace_branch(fa_poly(0.25), (0.0, TWO_PI), 2048), 2.0, 0.15)
-            assert np.count_nonzero(mu.psi) < 0.05 * mu.psi.size
-        else:
-            mu = make_uniform_measure(trace_branch(Poly2([[1, 0], [0, 1]]), (0.0, TWO_PI), 1024))
+        mu = oracle_measure(kind)
         K = 128
         got = fourier_coefficients(mu, K).coeffs
         assert np.abs(got - dense_fourier_oracle(mu, K)).max() <= 1e-14
+
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    @pytest.mark.parametrize("K", [1, 64, 128])
+    def test_whole_table_conjugate_symmetric(self, kind, K):
+        # only the rows k >= 0 are summed; the rest must mirror them exactly
+        tab = fourier_coefficients(oracle_measure(kind), K).coeffs
+        assert np.array_equal(tab, np.conj(tab[::-1, ::-1]))
+        assert tab[K, K].imag == 0.0
 
     def test_exact_line_measure(self):
         tab = line_table(48)
@@ -248,6 +271,16 @@ class TestCofactor:
             weighted = qhat2 * wk[:, None] * wk[None, :]
             expect = [weighted[: c + 1, : c + 1].sum() for c in report.cutoffs]
             assert report.weighted_sums[beta] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [256, 1024])
+    def test_direct_lattice_values_match_ifft2(self, grid):
+        rng = np.random.default_rng(grid)
+        polys = [Poly2([[2, -1], [-1, 0]]), Poly2([[2, 0, -1], [0, 0, 0], [-1, 0, 0]]),
+                 Poly2(rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))]
+        w = np.exp(1j * TWO_PI * np.arange(grid) / grid)
+        for f in polys:
+            err = np.abs(_lattice_values(f, w) - lattice_values(f, grid)).max()
+            assert err <= 1e-13 * f.scale
 
     def test_unexplained_zero_rejected(self, two_minus):
         with pytest.raises(ValueError, match="away from"):

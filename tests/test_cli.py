@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bicyclic.cli import EXIT_NUMERICAL, run
+from bicyclic.cli import EXIT_NUMERICAL, _build_parser, run
 from bicyclic.poly2 import Poly2
 
 
@@ -142,6 +142,29 @@ class TestPipelines:
         assert rows[0] == "N,d_N,gram_condition"
         ds = [float(r.split(",")[1]) for r in rows[1:]]
         assert ds == sorted(ds, reverse=True)
+
+
+class TestParserReuse:
+    def test_back_to_back_runs_match_fresh_runs(self, tmp_path, f0_file, finite_file):
+        # one parser serves every run in a process; no run may leave state in
+        # it (a mutated default, say) that changes what the next run writes
+        calls = [
+            ("approximant", ["approximant", "--poly", f0_file, "--alpha", "0.25"]),
+            ("classify-evidence", ["classify", "--factors", finite_file,
+                                   "--alpha", "0.5", "--caps", "0", "2"]),
+            ("classify", ["classify", "--factors", finite_file]),
+            ("approximant-again", ["approximant", "--poly", f0_file, "--alpha", "0.25"]),
+        ]
+        for name, argv in calls:
+            run(["--out", str(tmp_path / "shared" / name)] + argv)
+        assert _build_parser() is _build_parser()
+        for name, argv in calls:
+            _build_parser.cache_clear()     # a fresh parser, as in a new process
+            run(["--out", str(tmp_path / "fresh" / name)] + argv)
+            shared = sorted((tmp_path / "shared" / name).iterdir())
+            fresh = sorted((tmp_path / "fresh" / name).iterdir())
+            assert [p.name for p in shared] == [p.name for p in fresh]
+            assert all(a.read_bytes() == b.read_bytes() for a, b in zip(shared, fresh))
 
 
 class TestErrors:

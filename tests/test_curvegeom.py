@@ -3,9 +3,35 @@ import pytest
 
 from bicyclic.curvegeom import (closed_form_branch_fa, curve_type_at,
                                 fa_poly, mobius_retype, trace_branch)
-from bicyclic.poly2 import Poly2
+from bicyclic.poly2 import Poly2, unimodular_slice_roots
 
 TWO_PI = 2 * np.pi
+
+
+def numpy_selection_m(f, window, nodes, start_hint=None):
+    """Reference: the branch selection of trace_branch on numpy arrays."""
+    t = window[0] + (window[1] - window[0]) * np.arange(nodes) / nodes
+    all_roots, _ = unimodular_slice_roots(f, np.exp(1j * t))
+    m = np.empty(nodes)
+    prev, slope = None, 0.0
+    for i, uni in enumerate(all_roots):
+        if prev is None:
+            if start_hint is None:
+                j = int(np.argmin(np.angle(uni) % TWO_PI))
+            else:
+                j = int(np.argmin(np.abs(uni - np.exp(1j * start_hint))))
+        else:
+            predicted = np.exp(1j * (prev + slope * (t[1] - t[0])))
+            j = int(np.argmin(np.abs(uni - predicted)))
+        arg = float(np.angle(uni[j]))
+        if prev is None:
+            m[i] = arg
+        else:
+            k = round((prev + slope * (t[1] - t[0]) - arg) / TWO_PI)
+            m[i] = arg + TWO_PI * k
+            slope = (m[i] - prev) / (t[1] - t[0])
+        prev = m[i]
+    return m
 
 
 class TestTraceBranch:
@@ -36,6 +62,17 @@ class TestTraceBranch:
             expect = (1 - a * a) / (2 * a * np.cos(cf.t) - 1 - a * a)
             assert np.abs(cf.dm - expect).max() <= 1e-12
             assert np.all(cf.dm < 0)
+
+    @pytest.mark.parametrize("f, window, hint", [
+        (fa_poly(0.3), (0.0, TWO_PI), None),
+        (Poly2([[1, 0, 0], [0, 0, -1]]), (0.0, TWO_PI), None),      # 1 - z1 z2^2: two roots
+        (Poly2([[1, 0, 0], [0, 0, -1]]), (0.5, 2.0), -0.3),   # not the least argument
+        (fa_poly(0.7), (1.0, 1.6), 2.0),
+    ])
+    def test_selection_matches_numpy_reference(self, f, window, hint):
+        # the per-node selection runs on Python scalars; same branch, same bits
+        br = trace_branch(f, window, 512, start_hint=hint)
+        assert np.array_equal(br.m, numpy_selection_m(f, window, 512, hint))
 
     def test_nodes_on_torus(self):
         f = fa_poly(0.3)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bicyclic.dirichlet import (AlphaSpace, alpha_inner, alpha_norm,
+from bicyclic.dirichlet import (AlphaSpace, _support_lattice, alpha_inner, alpha_norm,
                                 distance_profile, gram_matrix,
                                 integral_norm_quadrature, optimal_approximant,
                                 profile_csv_rows)
@@ -294,3 +294,106 @@ class TestGramMatrix:
                     G = gram_matrix(f, AlphaSpace(alpha), cap)
                     assert G.dtype == (np.float64 if real else np.complex128)
                     assert np.abs(G - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+def sparse_poly(terms, rng=None):
+    """{(k, l): c} on a lattice-sparse support; with rng, random complex
+    coefficients on the same support."""
+    if rng is not None:
+        terms = {kl: complex(rng.standard_normal(), rng.standard_normal()) for kl in terms}
+    return Poly2.from_terms(terms)
+
+
+LATTICE_SPARSE = {
+    # name: (terms, lattice index, or None for rank < 2)
+    "1 + z1 z2": ({(0, 0): 1, (1, 1): 1}, None),
+    "1 - z1 z2": ({(0, 0): 1, (1, 1): -1}, None),
+    "1 + z1^2 z2": ({(0, 0): 1, (2, 1): 1}, None),
+    "2 - z1^2 - z2^2": ({(0, 0): 2, (2, 0): -1, (0, 2): -1}, 4),
+    "z1 z2^2": ({(1, 2): 1}, None),
+    "3 + z1^3 z2^2 - z2^4": ({(0, 0): 3, (3, 2): 1, (0, 4): -1}, 12),
+}
+
+
+class TestCosetBlocks:
+    """The Gram matrix is block diagonal over the cosets of the lattice of
+    support differences; the blocked profile must agree with a dense
+    eigvalsh / solve on the whole normal matrix."""
+
+    @staticmethod
+    def dense_oracle(f, alpha, N):
+        A, target = oracle_design(f, alpha, N)
+        G = A.conj().T @ A
+        eig = np.linalg.eigvalsh(G)
+        c = np.linalg.solve(G, A.conj().T @ target)
+        return float(np.linalg.norm(A @ c - target)), float(eig[-1] / eig[0]), c
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_SPARSE))
+    @pytest.mark.parametrize("variant", ["as given", "unimodular", "random complex"])
+    @pytest.mark.parametrize("alpha", [0.25, 1.0])
+    def test_profile_matches_dense_oracle(self, name, variant, alpha):
+        terms, _ = LATTICE_SPARSE[name]
+        f = sparse_poly(terms)
+        if variant == "unimodular":
+            f = f * np.exp(0.7j)
+        elif variant == "random complex":
+            f = sparse_poly(terms, np.random.default_rng(len(name)))
+        caps = [0, 3, 6, 10]
+        for r in distance_profile(f, AlphaSpace(alpha), caps):
+            N = r.degree_cap
+            dist, cond, c = self.dense_oracle(f, alpha, N)
+            assert abs(r.distance - dist) <= 1e-12 * dist
+            assert abs(r.gram_condition - cond) <= 1e-10 * cond
+            got = r.approximant.padded((N + 1, N + 1))
+            basis = [(t - j, j) for t in range(N + 1) for j in range(t + 1)]
+            assert max(abs(got[i, j] - c[b]) for b, (i, j) in enumerate(basis)) <= 1e-10
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_SPARSE))
+    def test_approximant_lives_on_the_home_coset(self, name):
+        # p is supported on the shifts b with b - (0, 0) in the lattice
+        terms, _ = LATTICE_SPARSE[name]
+        f = sparse_poly(terms)
+        a, b, c = _support_lattice(f)
+        p = distance_profile(f, AlphaSpace(0.5), [9])[0].approximant
+        for (i, j) in zip(*np.nonzero(p.coeffs)):
+            x = i - (j // c) * b if c else i
+            assert (j % c if c else j) == 0 and (x % a if a else x) == 0
+
+    def test_monomial_gram_is_diagonal(self):
+        # a00 = 0: p = 0 and d_N = 1; G is diagonal, so its condition number
+        # is the spread of the weights w_{i+1} w_{j+2} over the basis
+        f = Poly2.monomial(1, 2)
+        for r in distance_profile(f, AlphaSpace(0.5), [0, 4, 7]):
+            N = r.degree_cap
+            diag = [((i + 2) * (j + 3)) ** 0.5 for t in range(N + 1) for j in range(t + 1)
+                    for i in [t - j]]
+            assert r.distance == 1.0 and r.approximant.is_zero
+            assert abs(r.gram_condition - max(diag) / min(diag)) <= 1e-12 * r.gram_condition
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_SPARSE))
+    def test_lattice_index(self, name):
+        terms, index = LATTICE_SPARSE[name]
+        a, b, c = _support_lattice(sparse_poly(terms))
+        assert c >= 0 and a >= 0 and (a == 0 or 0 <= b < a)
+        assert (a * c if a and c else None) == index
+        # every support difference lies in Z (b, c) + Z (a, 0)
+        pts = list(terms)
+        for (k, l) in pts:
+            dk, dl = k - pts[0][0], l - pts[0][1]
+            if c:
+                assert dl % c == 0
+                dk -= (dl // c) * b
+            else:
+                assert dl == 0
+            assert (dk % a == 0) if a else dk == 0
+
+    def test_one_coset_keeps_degree_order(self):
+        # support differences spanning Z^2 give one block: the profile is the
+        # same arithmetic as a solve on the leading blocks of gram_matrix
+        f = Poly2([[2, -1], [-1, 0]])
+        assert _support_lattice(f) == (1, 0, 1)
+        G = gram_matrix(f, AlphaSpace(0.75), 8)
+        for r in distance_profile(f, AlphaSpace(0.75), [0, 4, 8]):
+            B = (r.degree_cap + 1) * (r.degree_cap + 2) // 2
+            eig = np.linalg.eigvalsh(G[:B, :B])
+            assert r.gram_condition == float(eig[-1] / eig[0])

@@ -165,8 +165,8 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
     t = t0 + (t1 - t0) * np.arange(nodes) / nodes
     all_roots, vanishing = unimodular_slice_roots(f, np.exp(1j * t))
 
-    # the selection runs on Python scalars: the roots of node i are
-    # roots[ends[i] - len : ends[i]], their arguments come from one np.angle
+    # the selection runs on Python scalars: node i's roots are
+    # roots[ends[i-1]:ends[i]], their arguments from one np.angle over all
     flat = np.concatenate(all_roots)
     roots, angles = flat.tolist(), np.angle(flat).tolist()
     ends = np.cumsum([r.size for r in all_roots]).tolist()

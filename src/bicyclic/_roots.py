@@ -4,7 +4,7 @@ Coefficient arrays are 1-D complex, low order first (index p = coefficient
 of z^p), the convention of numpy.polynomial.polynomial, whose polyval and
 polyder do all evaluation and differentiation here.  Batched root finding
 groups rows by effective degree so that a single stacked eigvals call
-handles each group.
+handles each group, and returns the roots NaN-padded to one array.
 """
 from __future__ import annotations
 
@@ -51,43 +51,37 @@ def roots_low_first(c: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(_companion_stack(tail))[0]
 
 
-def batched_roots(coeff_rows: np.ndarray):
-    """Roots per row of a (S, d+1) low-first coefficient matrix.
+def batched_roots(coeff_rows: np.ndarray) -> np.ndarray:
+    """Roots per row of a (S, d+1) low-first coefficient matrix, as an
+    (S, d) array padded with NaN.
 
-    Returns a list of 1-D arrays (possibly empty).  Rows whose coefficients
-    are all at most RELATIVE_COEFF_FLOOR times the largest in the stack
-    yield None, signalling a degenerate (identically zero) polynomial.
+    A row of effective degree e < d fills its first e entries; a row whose
+    coefficients are all at most RELATIVE_COEFF_FLOOR times the largest in
+    the stack is degenerate (identically zero) and has no entries.  Rows of
+    one effective degree share one stacked eigvals call.
     """
     C = np.atleast_2d(np.asarray(coeff_rows, dtype=complex))
-    S, _ = C.shape
+    S, d1 = C.shape
     mags = np.abs(C)
     row_max = mags.max(axis=1)
     scale = row_max.max() if S else 0.0
-    out: list = [None] * S
-
-    degenerate = row_max <= RELATIVE_COEFF_FLOOR * max(scale, 1e-300)
-    effdeg = np.zeros(S, dtype=int)
-    for s in range(S):
-        if degenerate[s]:
-            continue
-        keep = np.nonzero(mags[s] > RELATIVE_COEFF_FLOOR * row_max[s])[0]
-        effdeg[s] = keep[-1] if keep.size else 0
-
-    for d in np.unique(effdeg):
-        rows = np.nonzero((effdeg == d) & ~degenerate)[0]
-        if rows.size == 0:
-            continue
-        if d == 0:
-            for s in rows:
-                out[s] = np.zeros(0, dtype=complex)
-        elif d == 1:
-            for s in rows:
-                out[s] = np.array([-C[s, 0] / C[s, 1]])
-        else:
+    live = row_max > RELATIVE_COEFF_FLOOR * max(scale, 1e-300)
+    # the effective degree is the index of the last coefficient above the
+    # floor of its row
+    above = mags > RELATIVE_COEFF_FLOOR * row_max[:, None]
+    effdeg = np.where(live, d1 - 1 - above[:, ::-1].argmax(axis=1), 0)
+    out = np.empty((S, d1 - 1), dtype=complex)
+    out.fill(np.nan)
+    if S and (effdeg == effdeg[0]).all():
+        groups = [(int(effdeg[0]), slice(None))]
+    else:
+        groups = [(d, np.flatnonzero(effdeg == d)) for d in np.unique(effdeg).tolist()]
+    for d, rows in groups:
+        if d == 1:
+            out[rows, 0] = -C[rows, 0] / C[rows, 1]
+        elif d > 1:
             tails = C[rows, :d] / C[rows, d][:, None]
-            eigs = np.linalg.eigvals(_companion_stack(tails))
-            for i, s in enumerate(rows):
-                out[s] = eigs[i]
+            out[rows, :d] = np.linalg.eigvals(_companion_stack(tails))
     return out
 
 

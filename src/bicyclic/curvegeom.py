@@ -163,13 +163,12 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
     if t1 <= t0:
         raise ValueError("empty parameter window")
     t = t0 + (t1 - t0) * np.arange(nodes) / nodes
-    all_roots, vanishing = unimodular_slice_roots(f, np.exp(1j * t))
+    flat, node, vanishing = unimodular_slice_roots(f, np.exp(1j * t))
 
     # the selection runs on Python scalars: node i's roots are
     # roots[ends[i-1]:ends[i]], their arguments from one np.angle over all
-    flat = np.concatenate(all_roots)
     roots, angles = flat.tolist(), np.angle(flat).tolist()
-    ends = np.cumsum([r.size for r in all_roots]).tolist()
+    ends = np.searchsorted(node, np.arange(nodes), side="right").tolist()
     ts, vanish = t.tolist(), vanishing.tolist()
     h = ts[1] - ts[0]
     m = []

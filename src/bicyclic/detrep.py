@@ -159,8 +159,8 @@ def verify_agler_identity(f: Poly2, pair: AglerPair, samples: int = 200,
 def _torus_zero_samples(f: Poly2, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Points (z1, z2) on Z(f) with both coordinates on the unit circle."""
     nodes = np.exp(1j * (np.linspace(0.0, 2 * np.pi, count, endpoint=False) + 0.05))
-    roots, _ = unimodular_slice_roots(f, nodes)
-    return np.repeat(nodes, [r.size for r in roots]), np.concatenate(roots)
+    roots, which, _ = unimodular_slice_roots(f, nodes)
+    return nodes[which], roots
 
 
 def unitary_from_pair(f: Poly2, pair: AglerPair, zero_samples: int = 64,

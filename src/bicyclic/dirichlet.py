@@ -226,6 +226,36 @@ def _coset_keys(lattice: tuple[int, int, int], bi: np.ndarray, bj: np.ndarray) -
     return np.stack([r, u], axis=1)
 
 
+def _swap_symmetric(f: Poly2) -> bool:
+    """Whether f(z2, z1) = +-f(z1, z2), tested exactly on the coefficients."""
+    a = f.coeffs
+    return a.shape[0] == a.shape[1] and (np.array_equal(a, a.T) or np.array_equal(a, -a.T))
+
+
+def _swap_halves(Gc: np.ndarray, i: np.ndarray, j: np.ndarray, mirror: np.ndarray):
+    """Even and odd blocks of a coset block Gc that the swap maps to itself.
+
+    Row r of Gc is the shift (i[r], j[r]) and row mirror[r] is (j[r], i[r]).
+    The even basis is v_r = (e_r + e_mirror(r)) / |e_r + e_mirror(r)| over
+    the rows `even` with i <= j, the odd basis (e_r - e_mirror(r)) / sqrt(2)
+    over the rows `odd` with i < j, each in the order of Gc, so a cap is
+    still a leading block when Gc is in degree order.  Each entry sums G's
+    four sub-blocks in pairs that are exact on the diagonal points, then
+    scales by the two norms, |e_r + e_mirror(r)| = 2^a with a = 1 on the
+    diagonal and 1/2 off it.  Returns (E, O, even, odd).
+    """
+    even = np.flatnonzero(i <= j)
+    odd = np.flatnonzero(i < j)
+    off = (i[even] < j[even]).astype(np.intp)
+    rows = Gc[even] + Gc[mirror[even]]
+    E = np.take(rows, even, axis=1) + np.take(rows, mirror[even], axis=1)
+    E *= np.array([0.25, 0.5 ** 1.5, 0.5])[np.add.outer(off, off)]
+    rows = Gc[odd] - Gc[mirror[odd]]
+    O = np.take(rows, odd, axis=1) - np.take(rows, mirror[odd], axis=1)
+    O *= 0.5
+    return E, O, even, odd
+
+
 def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResult]:
     """Optimal approximants for a strictly increasing list of degree caps.
 
@@ -239,8 +269,15 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
     rejects a block that is not positive definite, and one linear solve on
     the coset of (0, 0), the only one where the right-hand side
     <1, z^b f> = conj(a00) e_0 is nonzero.  For f whose support differences
-    span Z^2 there is one coset and the order is the degree order.  The
-    distance is evaluated directly from the residual coefficients.
+    span Z^2 there is one coset and the order is the degree order.
+
+    When f(z2, z1) = +-f(z1, z2) the swap of the shifts (i, j) <-> (j, i)
+    commutes with G and permutes the cosets.  A coset it maps to itself
+    splits into an even and an odd block (`_swap_halves`); of two cosets it
+    exchanges, which have one spectrum, only the first takes an `eigvalsh`.
+    The right-hand side is even, so the solve runs on the even block of the
+    coset of (0, 0), and p comes out exactly symmetric.  The distance is
+    evaluated directly from the residual coefficients.
     """
     caps = list(caps)
     if any(b <= a for a, b in zip(caps, caps[1:])):
@@ -265,28 +302,53 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
     # degrees[c]; (0, 0) leads its coset
     starts = np.flatnonzero(np.r_[True, coset[1:] != coset[:-1]]).tolist()
     degrees = np.split(bi + bj, starts[1:])
-    s0 = starts[home]
+    blocks = [(G[s: s + deg.size, s: s + deg.size], deg)
+              for s, deg in zip(starts, degrees)]
+    # the solve's block, its rows' degrees and its rows in G
+    H, hdeg = blocks[home]
+    hrows = starts[home] + np.arange(hdeg.size)
+    swap = _swap_symmetric(f)
+    if swap:
+        pos = np.zeros((cap + 1, cap + 1), dtype=int)
+        pos[bi, bj] = np.arange(bi.size)
+        mirror = pos[bj, bi]
+        blocks = []
+        for c, (s, deg) in enumerate(zip(starts, degrees)):
+            e = s + deg.size
+            if coset[mirror[s]] > c:    # its mirror coset comes later in G
+                blocks.append((G[s:e, s:e], deg))
+            elif coset[mirror[s]] == c:
+                E, O, even, odd = _swap_halves(G[s:e, s:e], bi[s:e], bj[s:e], mirror[s:e] - s)
+                blocks += [(E, deg[even]), (O, deg[odd])]
+                if c == home:
+                    H, hdeg, hrows = E, deg[even], s + even
+        # p = sum x_r v_r over the even basis of the coset of (0, 0)
+        to_coeff = np.where(bi[hrows] == bj[hrows], 1.0, math.sqrt(0.5))
     a00 = f.coeffs[0, 0]
     rhs0 = np.conj(a00) if G.dtype.kind == "c" else a00.real
 
     out = []
     for N in caps:
         lo, hi = np.inf, 0.0
-        for s, deg in zip(starts, degrees):
+        for M, deg in blocks:
             B = int(np.searchsorted(deg, N, side="right"))
             if B == 0:
                 continue
-            eig = np.linalg.eigvalsh(G[s: s + B, s: s + B])
+            eig = np.linalg.eigvalsh(M[:B, :B])
             if eig[0] <= 0:
                 raise ValueError("singular Gram matrix (condition estimate "
-                                 f"{np.linalg.cond(G[s: s + B, s: s + B]):.3e})")
+                                 f"{np.linalg.cond(M[:B, :B]):.3e})")
             lo, hi = min(lo, eig[0]), max(hi, eig[-1])
-        B = int(np.searchsorted(degrees[home], N, side="right"))
+        B = int(np.searchsorted(hdeg, N, side="right"))
         rhs = np.zeros(B, dtype=G.dtype)
         rhs[0] = rhs0
+        x = np.linalg.solve(H[:B, :B], rhs)
+        i, j = bi[hrows[:B]], bj[hrows[:B]]
         coeffs = np.zeros((N + 1, N + 1), dtype=complex)
-        coeffs[bi[s0: s0 + B], bj[s0: s0 + B]] = np.linalg.solve(
-            G[s0: s0 + B, s0: s0 + B], rhs)
+        if swap:
+            coeffs[i, j] = coeffs[j, i] = x * to_coeff[:B]
+        else:
+            coeffs[i, j] = x
         p = Poly2(coeffs)
         dist = alpha_norm(p * f - Poly2.constant(1.0), space)
         out.append(ApproximantResult(N, p, dist, float(hi / lo)))

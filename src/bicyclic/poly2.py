@@ -158,12 +158,17 @@ class Poly2:
             return Poly2.zero()
         out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
                        dtype=complex)
-        # convolve by accumulating shifted copies of the denser grid
-        for k in range(a.shape[0]):
-            for l in range(a.shape[1]):
-                c = a[k, l]
-                if c != 0:
-                    out[k: k + b.shape[0], l: l + b.shape[1]] += c * b
+        # convolve by accumulating shifted copies of the denser grid a over
+        # the nonzero coefficients of the sparser b (b = other on a tie), in
+        # reverse order, as a * b[k, l]: each coefficient then sums the same
+        # products in the same order as a loop over a's coefficients adding
+        # a[k, l] * b, so the two operand orders agree bit for bit unless
+        # the counts tie (numpy's complex products need not commute)
+        if np.count_nonzero(a) < np.count_nonzero(b):
+            a, b = b, a
+        kb, lb = np.nonzero(b)
+        for k, l in zip(kb[::-1].tolist(), lb[::-1].tolist()):
+            out[k: k + a.shape[0], l: l + a.shape[1]] += a * b[k, l]
         return Poly2(out)
 
     __rmul__ = __mul__
@@ -366,24 +371,25 @@ def slice_rows(coeffs: np.ndarray, z1) -> np.ndarray:
     return np.moveaxis(rows, 0, -1)
 
 
-def unimodular_slice_roots(f: Poly2, z1s: np.ndarray) -> tuple[list, np.ndarray]:
-    """The roots on the unit circle of the slices f(z1, .), z1 in z1s.
+def unimodular_slice_roots(f: Poly2, z1s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The roots on the unit circle of the slices f(z1, .), z1 in the 1-D
+    array z1s.
 
     One batched root solve over the slice rows; a root within CIRCLE_BAND of
-    the circle is kept and normalized to modulus one.  Returns the root
-    arrays, one per slice, and the mask of slices that vanish identically
-    (row max at most RELATIVE_COEFF_FLOOR * scale), whose arrays are empty.
+    the circle is kept and normalized to modulus one.  Returns the kept
+    roots flat, slice by slice, the index into z1s of each one's slice, and
+    the mask of slices that vanish identically (row max at most
+    RELATIVE_COEFF_FLOOR * scale), which keep no root.
     """
     rows = slice_rows(f.coeffs, z1s)
     vanishing = np.abs(rows).max(axis=-1) <= RELATIVE_COEFF_FLOOR * f.scale
-    out = []
-    for rts, gone in zip(batched_roots(rows), vanishing):
-        if gone or rts is None:
-            out.append(np.zeros(0, dtype=complex))
-            continue
-        uni = rts[np.abs(np.abs(rts) - 1.0) <= CIRCLE_BAND]
-        out.append(uni / np.abs(uni))
-    return out, vanishing
+    rts = batched_roots(rows)
+    # the NaN padding compares False
+    keep = np.abs(np.abs(rts) - 1.0) <= CIRCLE_BAND
+    keep[vanishing] = False
+    which = keep.nonzero()[0]
+    uni = rts[keep]
+    return uni / np.abs(uni), which, vanishing
 
 
 def sylvester_resultant_z2(f: Poly2, g: Poly2) -> np.ndarray:

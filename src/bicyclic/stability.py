@@ -225,13 +225,13 @@ def _torus_points(f: Poly2, ts: np.ndarray) -> tuple[list, bool]:
     """Torus zeros on the circle slices at the angles ts, sorted by angle,
     and whether one of those slices vanishes identically."""
     z1s = np.exp(1j * ts)
-    roots, vanishing = unimodular_slice_roots(f, z1s)
+    z2s, which, vanishing = unimodular_slice_roots(f, z1s)
+    z1s = z1s[which]
+    zero = np.abs(f(z1s, z2s)) <= ZERO_VALUE_TOL * f.scale
     points: list[tuple[complex, complex]] = []
-    for z1, z2s in zip(z1s, roots):
-        for z2 in z2s[np.abs(f(z1, z2s)) <= ZERO_VALUE_TOL * f.scale]:
-            p = (complex(z1), complex(z2))
-            if not any(abs(p[0] - q[0]) + abs(p[1] - q[1]) < SAME_POINT_TOL for q in points):
-                points.append(p)
+    for p in zip(z1s[zero].tolist(), z2s[zero].tolist()):
+        if not any(abs(p[0] - q[0]) + abs(p[1] - q[1]) < SAME_POINT_TOL for q in points):
+            points.append(p)
     # angles a rounding error below 2 pi sort as 0
     points.sort(key=lambda p: tuple((np.angle(z) + 1e-12) % (2 * np.pi) for z in p))
     return points, bool(vanishing.any())

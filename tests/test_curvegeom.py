@@ -3,7 +3,8 @@ import pytest
 
 from bicyclic.curvegeom import (closed_form_branch_fa, curve_type_at,
                                 fa_poly, mobius_retype, trace_branch)
-from bicyclic.poly2 import Poly2, unimodular_slice_roots
+from bicyclic.poly2 import Poly2
+from test_roots import per_row_slice_roots
 
 TWO_PI = 2 * np.pi
 
@@ -11,7 +12,7 @@ TWO_PI = 2 * np.pi
 def numpy_selection_m(f, window, nodes, start_hint=None):
     """Reference: the branch selection of trace_branch on numpy arrays."""
     t = window[0] + (window[1] - window[0]) * np.arange(nodes) / nodes
-    all_roots, _ = unimodular_slice_roots(f, np.exp(1j * t))
+    all_roots, _ = per_row_slice_roots(f, np.exp(1j * t))
     m = np.empty(nodes)
     prev, slope = None, 0.0
     for i, uni in enumerate(all_roots):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bicyclic.dirichlet import (AlphaSpace, _support_lattice, alpha_inner, alpha_norm,
-                                distance_profile, gram_matrix,
+from bicyclic.dirichlet import (AlphaSpace, _support_lattice, _swap_symmetric, alpha_inner,
+                                alpha_norm, distance_profile, gram_matrix,
                                 integral_norm_quadrature, optimal_approximant,
                                 profile_csv_rows)
 from bicyclic.poly2 import Poly2
@@ -315,6 +315,17 @@ LATTICE_SPARSE = {
 }
 
 
+SWAP_SYMMETRIC = {
+    # name: (terms, +1 for f(z2, z1) = f, -1 for f(z2, z1) = -f)
+    "2 - z1 - z2": ({(0, 0): 2, (1, 0): -1, (0, 1): -1}, 1),
+    "f_0.4": ({(0, 0): 1, (1, 0): -0.4, (0, 1): -0.4, (1, 1): 1}, 1),
+    "1 + z1 z2": ({(0, 0): 1, (1, 1): 1}, 1),
+    "2 - z1^2 - z2^2": ({(0, 0): 2, (2, 0): -1, (0, 2): -1}, 1),
+    "3 - z1 z2^2 - z1^2 z2": ({(0, 0): 3, (1, 2): -1, (2, 1): -1}, 1),
+    "z1 - z2 + z1^2 z2 - z1 z2^2": ({(1, 0): 1, (0, 1): -1, (2, 1): 1, (1, 2): -1}, -1),
+}
+
+
 class TestCosetBlocks:
     """The Gram matrix is block diagonal over the cosets of the lattice of
     support differences; the blocked profile must agree with a dense
@@ -388,12 +399,122 @@ class TestCosetBlocks:
             assert (dk % a == 0) if a else dk == 0
 
     def test_one_coset_keeps_degree_order(self):
-        # support differences spanning Z^2 give one block: the profile is the
-        # same arithmetic as a solve on the leading blocks of gram_matrix
-        f = Poly2([[2, -1], [-1, 0]])
-        assert _support_lattice(f) == (1, 0, 1)
+        # support differences spanning Z^2 give one block: without swap
+        # symmetry the profile is the same arithmetic as a solve on the
+        # leading blocks of gram_matrix
+        f = Poly2([[2, -0.5], [-1, 0]])
+        assert _support_lattice(f) == (1, 0, 1) and not _swap_symmetric(f)
         G = gram_matrix(f, AlphaSpace(0.75), 8)
         for r in distance_profile(f, AlphaSpace(0.75), [0, 4, 8]):
             B = (r.degree_cap + 1) * (r.degree_cap + 2) // 2
             eig = np.linalg.eigvalsh(G[:B, :B])
             assert r.gram_condition == float(eig[-1] / eig[0])
+
+    def test_swap_halves_keep_their_arithmetic(self):
+        # 2 - z1 - z2 is one coset that the swap maps to itself: the profile
+        # is the same arithmetic as eigvalsh on the leading blocks of G in
+        # the even basis (e_ij + e_ji) / |e_ij + e_ji|, i <= j, and the odd
+        # basis (e_ij - e_ji) / sqrt(2), i < j, and the solve on the even one
+        f = Poly2([[2, -1], [-1, 0]])
+        space, cap = AlphaSpace(0.75), 8
+        assert _support_lattice(f) == (1, 0, 1) and _swap_symmetric(f)
+        G = gram_matrix(f, space, cap)
+        basis = [(t - j, j) for t in range(cap + 1) for j in range(t + 1)]
+        index = {b: k for k, b in enumerate(basis)}
+        mirror = np.array([index[(j, i)] for (i, j) in basis])
+        even = np.array([k for k, (i, j) in enumerate(basis) if i <= j])
+        odd = np.array([k for k, (i, j) in enumerate(basis) if i < j])
+        # |e_ij + e_ji| = 2^a: a = 1 on the diagonal, 1/2 off it
+        a = np.array([1.0 if basis[k][0] == basis[k][1] else 0.5 for k in even])
+        rows = G[even] + G[mirror[even]]
+        E = (rows[:, even] + rows[:, mirror[even]]) * 0.5 ** np.add.outer(a, a)
+        rows = G[odd] - G[mirror[odd]]
+        O = (rows[:, odd] - rows[:, mirror[odd]]) * 0.5
+        for r in distance_profile(f, space, [0, 4, 8]):
+            N = r.degree_cap
+            lo, hi = np.inf, 0.0
+            for M, members in ((E, even), (O, odd)):
+                B = sum(sum(basis[k]) <= N for k in members)
+                if B:
+                    eig = np.linalg.eigvalsh(M[:B, :B])
+                    lo, hi = min(lo, eig[0]), max(hi, eig[-1])
+            assert r.gram_condition == float(hi / lo)
+            B = sum(sum(basis[k]) <= N for k in even)
+            rhs = np.zeros(B)
+            rhs[0] = 2.0
+            x = np.linalg.solve(E[:B, :B], rhs) * np.where(a[:B] == 1.0, 1.0, np.sqrt(0.5))
+            coeffs = np.zeros((N + 1, N + 1), dtype=complex)
+            for k, v in zip(even[:B], x):
+                i, j = basis[k]
+                coeffs[i, j] = coeffs[j, i] = v
+            p = Poly2(coeffs)
+            assert np.array_equal(r.approximant.coeffs, p.coeffs)
+            assert r.distance == alpha_norm(p * f - Poly2.constant(1.0), space)
+
+    @pytest.mark.parametrize("name", sorted(SWAP_SYMMETRIC))
+    @pytest.mark.parametrize("variant", ["as given", "unimodular", "random complex"])
+    @pytest.mark.parametrize("alpha", [0.25, 1.0])
+    def test_swap_profile_matches_dense_oracle(self, name, variant, alpha):
+        # even/odd halves of self-mirrored cosets, one eigvalsh per mirrored
+        # pair of cosets, and the solve on the even half, against the dense
+        # eigvalsh / solve on the whole normal matrix
+        terms, sign = SWAP_SYMMETRIC[name]
+        if variant == "random complex":
+            rng = np.random.default_rng(len(name))
+            terms = dict(terms)
+            for (k, l) in sorted(terms):
+                if k <= l:
+                    c = complex(rng.standard_normal(), rng.standard_normal())
+                    terms[(k, l)], terms[(l, k)] = c, sign * c if k < l else c
+        f = sparse_poly(terms)
+        if variant == "unimodular":
+            f = f * np.exp(0.7j)
+        assert _swap_symmetric(f)
+        for r in distance_profile(f, AlphaSpace(alpha), [0, 3, 6, 10]):
+            N = r.degree_cap
+            dist, cond, c = self.dense_oracle(f, alpha, N)
+            assert abs(r.distance - dist) <= 1e-12 * dist
+            assert abs(r.gram_condition - cond) <= 1e-10 * cond
+            got = r.approximant.padded((N + 1, N + 1))
+            assert np.array_equal(got, got.T)
+            basis = [(t - j, j) for t in range(N + 1) for j in range(t + 1)]
+            assert max(abs(got[i, j] - c[b]) for b, (i, j) in enumerate(basis)) <= 1e-10
+
+    def test_swap_test_is_exact(self):
+        # a perturbation of one ulp breaks the symmetry, and the profile then
+        # takes the unsplit path
+        assert _swap_symmetric(Poly2([[2, -1], [-1, 0]]))
+        assert _swap_symmetric(sparse_poly(SWAP_SYMMETRIC["z1 - z2 + z1^2 z2 - z1 z2^2"][0]))
+        assert not _swap_symmetric(Poly2([[2, -1], [np.nextafter(-1.0, 0.0), 0]]))
+        assert not _swap_symmetric(Poly2([[2, -1, 0.5], [-1, 0, 0]]))
+
+
+class TestSwapRelation:
+    """distance_profile of f(z2, z1) is that of f, with the approximant
+    transposed (a metamorphic relation, for f without swap symmetry)."""
+
+    @staticmethod
+    def assert_swapped_profile(f, alpha, caps):
+        g = f.swap_variables()
+        assert not _swap_symmetric(f)
+        for r, s in zip(distance_profile(f, AlphaSpace(alpha), caps),
+                        distance_profile(g, AlphaSpace(alpha), caps)):
+            assert abs(r.distance - s.distance) <= 1e-12 * r.distance
+            assert abs(r.gram_condition - s.gram_condition) <= 1e-10 * r.gram_condition
+            N = r.degree_cap
+            p, q = r.approximant.padded((N + 1, N + 1)), s.approximant.padded((N + 1, N + 1))
+            assert np.abs(p - q.T).max() <= 1e-10 * max(1.0, np.abs(p).max())
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_random(self, rng, real):
+        for _ in range(6):
+            f = random_poly(rng, 3, real=real)
+            if not f.is_zero and not _swap_symmetric(f):    # e.g. a constant
+                self.assert_swapped_profile(f, 0.5, [0, 3, 6])
+
+    @pytest.mark.parametrize("name", ["1 + z1^2 z2", "3 + z1^3 z2^2 - z2^4"])
+    def test_lattice_sparse(self, name):
+        self.assert_swapped_profile(sparse_poly(LATTICE_SPARSE[name][0]), 0.75, [0, 4, 9])
+
+    def test_one_coset(self):
+        self.assert_swapped_profile(Poly2([[2, -0.5], [-1, 0]]), 0.25, [0, 8, 16])

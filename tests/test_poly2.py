@@ -10,6 +10,7 @@ from bicyclic.poly2 import (CIRCLE_BAND, MobiusParams, Poly2, coeff_distance,
                             slice_rows, sylvester_resultant_z2,
                             unimodular_reflection_match, unimodular_slice_roots)
 from conftest import random_poly, torus_samples
+from test_roots import assert_slices_match
 
 
 def reflect_at(p, shape):
@@ -86,6 +87,38 @@ class TestArithmetic:
         n1, m1 = f.bidegree
         n2, m2 = g.bidegree
         assert (f * g).bidegree == (n1 + n2, m1 + m2)
+
+    @staticmethod
+    def convolution_oracle(a, b):
+        # the 2-D convolution is one 1-D convolution of the grids with their
+        # rows padded to the product's row length
+        L = a.shape[1] + b.shape[1] - 1
+        pa = np.zeros((a.shape[0], L), dtype=complex)
+        pb = np.zeros((b.shape[0], L), dtype=complex)
+        pa[:, :a.shape[1]], pb[:, :b.shape[1]] = a, b
+        K = a.shape[0] + b.shape[0] - 1
+        return np.convolve(pa.ravel(), pb.ravel())[: K * L].reshape(K, L)
+
+    def test_sparse_times_dense(self, rng):
+        # the product loops over the sparser operand on either side: both
+        # orders match a dense convolution and each other to one ulp
+        for _ in range(40):
+            n, m = rng.integers(0, 4, 2)
+            sparse = np.zeros((n + 1, m + 1), dtype=complex)
+            sparse[n, 0], sparse[0, m] = 1.5, -0.5j        # a tight bidegree
+            k, l = rng.integers(0, n + 1), rng.integers(0, m + 1)
+            sparse[k, l] = complex(rng.standard_normal(), rng.standard_normal())
+            shape = tuple(rng.integers(2, 9, 2))
+            dense = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            s, d = Poly2(sparse), Poly2(dense)
+            assert np.count_nonzero(s.coeffs) < np.count_nonzero(d.coeffs)
+            expect = self.convolution_oracle(s.coeffs, d.coeffs)
+            bound = 1e-14 * np.abs(s.coeffs).sum() * np.abs(d.coeffs).max()
+            sd, ds = (s * d).coeffs, (d * s).coeffs
+            for got in (sd, ds):
+                assert got.shape == expect.shape
+                assert np.abs(got - expect).max() <= bound
+            assert np.abs(sd - ds).max() <= np.spacing(np.abs(sd).max())
 
 
 class TestDerivative:
@@ -182,10 +215,13 @@ def slice_roots_reference(f, z1s):
 
 class TestUnimodularSliceRoots:
     def assert_matches_reference(self, f, z1s):
-        roots, vanishing = unimodular_slice_roots(f, z1s)
+        # the earlier per-row code, bit for bit, and one roots_low_first call
+        # per slice row
+        flat, which, vanishing = assert_slices_match(f, z1s)
+        roots = [flat[which == s] for s in range(z1s.size)]
         ref_roots, ref_vanishing = slice_roots_reference(f, z1s)
         assert np.array_equal(vanishing, ref_vanishing)
-        assert len(roots) == len(ref_roots) == z1s.size
+        assert len(ref_roots) == z1s.size
         for r, q in zip(roots, ref_roots):
             assert np.array_equal(r, q)
         return roots, vanishing

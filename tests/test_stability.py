@@ -20,7 +20,7 @@ def grid_scan_oracle(f, radial_steps=64, angular_steps=128):
     same with the variables swapped.  A pocket of zeros thinner than the
     grid spacing escapes it.
     """
-    from bicyclic._roots import batched_roots
+    from bicyclic._roots import RELATIVE_COEFF_FLOOR, batched_roots
     from bicyclic.poly2 import slice_rows
     from bicyclic.stability import OPEN_MARGIN
     r = np.linspace(0.0, 1.0, radial_steps)[1:]
@@ -28,12 +28,14 @@ def grid_scan_oracle(f, radial_steps=64, angular_steps=128):
     w = np.concatenate(([0j], (r[:, None] * np.exp(1j * th)[None, :]).ravel()))
     inner = np.abs(w) < 1.0 - OPEN_MARGIN
     for g in (f, f.swap_variables()):
-        for s, rts in enumerate(batched_roots(slice_rows(g.coeffs.T, w))):
-            if rts is None:
-                if inner[s]:
-                    return True
-            elif inner[s] and np.any(np.abs(rts) < 1.0 - OPEN_MARGIN):
-                return True
+        rows = slice_rows(g.coeffs.T, w)
+        # a slice below the root solver's floor vanishes: every point is a root
+        row_max = np.abs(rows).max(axis=1)
+        degenerate = row_max <= RELATIVE_COEFF_FLOOR * row_max.max()
+        # NaN pads compare False
+        hit = degenerate | np.any(np.abs(batched_roots(rows)) < 1.0 - OPEN_MARGIN, axis=1)
+        if np.any(hit & inner):
+            return True
     return False
 
 

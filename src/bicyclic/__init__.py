@@ -21,10 +21,8 @@ from .stability import (
 from .dirichlet import (
     AlphaSpace,
     ApproximantResult,
-    alpha_inner,
     alpha_norm,
     distance_profile,
-    integral_norm_quadrature,
     optimal_approximant,
 )
 from .detrep import (
@@ -38,10 +36,8 @@ from .detrep import (
     verify_agler_identity,
 )
 from .curvegeom import (
-    BranchSource,
     CurveBranch,
     TypeReport,
-    closed_form_branch_fa,
     curve_type_at,
     fa_poly,
     mobius_retype,

@@ -68,14 +68,13 @@ class CurveMeasure:
     branch: CurveBranch
     psi: np.ndarray
     profile: str
-    support: tuple[float, float]
 
 
 def make_uniform_measure(branch: CurveBranch) -> CurveMeasure:
     h = branch.spacing
     psi = np.full(branch.t.size, 1.0)
     psi /= psi.sum() * h
-    return CurveMeasure(branch, psi, "uniform", branch.window)
+    return CurveMeasure(branch, psi, "uniform")
 
 
 def make_bump_measure(branch: CurveBranch, center: float, half_width: float) -> CurveMeasure:
@@ -95,7 +94,7 @@ def make_bump_measure(branch: CurveBranch, center: float, half_width: float) -> 
     if total <= 0:
         raise ValueError("bump support contains no grid nodes")
     psi /= total
-    return CurveMeasure(branch, psi, "bump", (lo, hi))
+    return CurveMeasure(branch, psi, "bump")
 
 
 class FourierTable:
@@ -275,7 +274,7 @@ def branch_measure(f: Poly2, K: int, uniform: bool = False) -> CurveMeasure:
     type 2, shrunk until |m''| stays above 30% of its center value.
     """
     branch = trace_branch(f, (0.0, TWO_PI), max(8 * K, 1024))
-    d2 = branch.derivative_grid(2)
+    d2 = branch.d2m
     if uniform or float(np.abs(d2).max()) <= 1e-7 * max(1.0, float(np.abs(branch.dm).max())):
         return make_uniform_measure(branch)
     center_idx = int(np.argmax(np.abs(d2)))
@@ -294,8 +293,7 @@ def branch_measure(f: Poly2, K: int, uniform: bool = False) -> CurveMeasure:
     return make_bump_measure(branch, center, half)
 
 
-def noncyclicity_certificate(f: Poly2, alpha: float, K: int = 128,
-                             cutoffs=None) -> EnergyReport:
+def noncyclicity_certificate(f: Poly2, alpha: float, K: int = 128) -> EnergyReport:
     """Energy evidence that f with a torus zero curve is not cyclic at alpha.
 
     The measure is `branch_measure(f, K)`: uniform on a line branch, a
@@ -304,6 +302,7 @@ def noncyclicity_certificate(f: Poly2, alpha: float, K: int = 128,
     certificate only has force for alpha > 1/2 (below that threshold the
     energy diverges for every such measure and the verdict says so).  It is
     attached as evidence and never used to overturn the classification.
+    The energy is summed to the cutoffs K/8, K/4, K/2 and K.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
@@ -311,9 +310,7 @@ def noncyclicity_certificate(f: Poly2, alpha: float, K: int = 128,
     if tz.kind is not TorusZeroKind.CURVE:
         raise ValueError("certificate requires a torus zero curve")
     table = fourier_coefficients(branch_measure(f, K), K)
-    if cutoffs is None:
-        cutoffs = [K // 8, K // 4, K // 2, K]
-    return riesz_energy(table, alpha, cutoffs)
+    return riesz_energy(table, alpha, [K // 8, K // 4, K // 2, K])
 
 
 @dataclass(frozen=True)
@@ -350,18 +347,17 @@ def _lattice_values(f: Poly2, w: np.ndarray) -> np.ndarray:
     return w[powers * np.arange(n + 1) % grid] @ f.coeffs @ w[powers * np.arange(m + 1) % grid].T
 
 
-def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int,
-                        cutoffs=None) -> CofactorReport:
+def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int) -> CofactorReport:
     """Spectral membership experiment for Q = prod (z - zeta)^(qN) / f.
 
     Q0 is the product of (z1 - zeta1)^q (z2 - zeta2)^q over the supplied
     torus zeros; Q = Q0^N / f is evaluated on a power-of-two torus lattice
     (set to zero at the zeros of f), transformed, and the weighted sums
-    sum |Q_hat(k,l)|^2 (k+1)^b (l+1)^b over k, l >= 0 are reported at nested
-    cutoffs for b in {1, 2}.  With w the grid's roots of unity, f on the
-    lattice is V1 a V2^T with V[i, k] = w^(i k mod grid) read from the one
-    table of w, and Q0, one factor per variable, is the outer product of two
-    products over w.
+    sum |Q_hat(k,l)|^2 (k+1)^b (l+1)^b over k, l >= 0 are reported at the
+    nested cutoffs grid/8, grid/4 and grid/2 - 1 for b in {1, 2}.  With w the
+    grid's roots of unity, f on the lattice is V1 a V2^T with
+    V[i, k] = w^(i k mod grid) read from the one table of w, and Q0, one
+    factor per variable, is the outer product of two products over w.
     """
     if grid < 256 or grid & (grid - 1):
         raise ValueError("grid must be a power of two, at least 256")
@@ -384,14 +380,10 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int,
     qv = np.divide(q0v, fv, out=np.zeros_like(fv), where=~tiny)
     sup = float(np.abs(qv).max())
 
-    if cutoffs is None:
-        cutoffs = [grid // 8, grid // 4, grid // 2 - 1]
-    cutoffs = [int(c) for c in cutoffs]
-    if any(c >= grid // 2 + 1 for c in cutoffs):
-        raise ValueError("cutoffs must stay below the Nyquist index")
+    cutoffs = [grid // 8, grid // 4, grid // 2 - 1]
 
     # fft2's two passes (last axis first), each kept to the modes k, l <= kmax
-    kmax = max(cutoffs)
+    kmax = cutoffs[-1]
     qhat = np.fft.fft(np.fft.fft(qv, axis=1)[:, : kmax + 1], axis=0)[: kmax + 1]
     block = np.abs(qhat / (grid * grid)) ** 2
     sums: dict = {}

@@ -143,6 +143,8 @@ def classify_with_evidence(factors, alphas, degree_caps,
     certificate is attached for the first curve factor.  Evidence that
     disagrees with the algebraic verdict is flagged, never substituted.
     """
+    # each is read more than once, so a generator must not be used up
+    factors, alphas, degree_caps = list(factors), list(alphas), list(degree_caps)
     verdict = classify(factors)
     product = factors[0]
     for f in factors[1:]:

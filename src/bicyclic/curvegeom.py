@@ -10,7 +10,6 @@ resolutions and the tangential direction are tested explicitly.
 from __future__ import annotations
 
 import cmath
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +21,8 @@ TWO_PI = 2.0 * np.pi
 ROOT_COLLISION_TOL = 1e-6    # branch ambiguity threshold
 DERIVATIVE_REL_THRESHOLD = 1e-7
 AFFINE_TOL = 1e-9            # straight-line fit residual, relative to max |m|
-
-
-class BranchSource(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    TRACED = "traced"
+RETYPE_NODES = 256           # nodes of each branch mobius_retype traces
+RETYPE_HALF_WIDTH = 0.8      # half width of its parameter window
 
 
 @dataclass(frozen=True)
@@ -38,7 +34,6 @@ class CurveBranch:
     dm: np.ndarray
     d2m: np.ndarray
     d3m: np.ndarray
-    source: BranchSource
     periodic: bool
     winding: int
 
@@ -108,15 +103,11 @@ class CurveBranch:
         return (-sl(-3) + 4 * sl(-2) - 5 * sl(-1) + 5 * sl(1) - 4 * sl(2) + sl(3)) / (2 * h ** 5)
 
     def derivatives_at(self, index: int, max_order: int) -> list[float]:
-        """m^(k)(t_index) for k = 1..max_order; stored arrays win when exact."""
-        stored = {1: self.dm, 2: self.d2m, 3: self.d3m}
-        out = []
-        for k in range(1, max_order + 1):
-            if self.source is BranchSource.CLOSED_FORM and k in stored:
-                out.append(float(stored[k][index]))
-            else:
-                out.append(float(self.derivative_grid(k)[index]))
-        return out
+        """m^(k)(t_index) for k = 1..max_order: the stored dm, d2m, d3m up to
+        order 3, finite differences above."""
+        stored = (self.dm, self.d2m, self.d3m)
+        return [float(stored[k - 1][index] if k <= 3 else self.derivative_grid(k)[index])
+                for k in range(1, max_order + 1)]
 
     def is_affine(self) -> bool:
         """True when m(t) fits a straight line to within AFFINE_TOL."""
@@ -212,8 +203,7 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
 
     periodic, winding = _detect_periodicity(t, m, (t0, t1))
     branch = CurveBranch(t=t, m=m, dm=np.zeros(nodes), d2m=np.zeros(nodes),
-                         d3m=np.zeros(nodes), source=BranchSource.TRACED,
-                         periodic=periodic, winding=winding)
+                         d3m=np.zeros(nodes), periodic=periodic, winding=winding)
     object.__setattr__(branch, "dm", branch.derivative_grid(1))
     object.__setattr__(branch, "d2m", branch.derivative_grid(2))
     object.__setattr__(branch, "d3m", branch.derivative_grid(3))
@@ -223,35 +213,6 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
 def fa_poly(a: float) -> Poly2:
     """The degree-(1,1) family 1 - a z1 - conj(a) z2 + z1 z2."""
     return Poly2(np.array([[1.0, -np.conj(a)], [-a, 1.0]], dtype=complex))
-
-
-def closed_form_branch_fa(a: float, t_window: tuple[float, float] = (0.0, TWO_PI),
-                          nodes: int = 512) -> CurveBranch:
-    """Branch of Z(f_a) with closed-form m and derivatives, for real a in (0,1).
-
-    m is the continuous branch of pi + arctan((1-a^2) sin t / (2a -
-    (1+a^2) cos t)) anchored at m(0) = pi; the displayed derivative formulas
-    are global.
-    """
-    if not (0.0 < a < 1.0) or abs(np.imag(a)) > 0:
-        raise ValueError("closed form requires real a in (0, 1)")
-    t0, t1 = float(t_window[0]), float(t_window[1])
-    t = t0 + (t1 - t0) * np.arange(nodes) / nodes
-    z1 = np.exp(1j * t)
-    z2 = (a * z1 - 1.0) / (z1 - a)
-    # np.unwrap keeps the first element at its principal value, matching the
-    # anchor convention of trace_branch
-    m = np.unwrap(np.angle(z2))
-
-    D = 2 * a * np.cos(t) - 1.0 - a * a
-    dm = (1.0 - a * a) / D
-    d2m = 2 * a * (1.0 - a * a) * np.sin(t) / D ** 2
-    d3m = 2 * a * (1.0 - a * a) * (np.cos(t) * D + 4 * a * np.sin(t) ** 2) / D ** 3
-
-    periodic, winding = _detect_periodicity(t, m, (t0, t1))
-    return CurveBranch(t=t, m=m, dm=dm, d2m=d2m, d3m=d3m,
-                       source=BranchSource.CLOSED_FORM,
-                       periodic=periodic, winding=winding)
 
 
 @dataclass(frozen=True)
@@ -296,9 +257,6 @@ def curve_type_at(branch: CurveBranch, t: float, max_order: int = 5) -> TypeRepo
         raise ValueError("max_order must be at least 2")
     i = branch.node_index(t)
     derivs = branch.derivatives_at(i, max_order)
-    if np.hypot(1.0, derivs[0]) == 0.0:
-        raise ValueError("parametrization is not regular at this point")
-
     norm = np.hypot(1.0, derivs[0])
     eta = (-derivs[0] / norm, 1.0 / norm)
 
@@ -315,7 +273,7 @@ def curve_type_at(branch: CurveBranch, t: float, max_order: int = 5) -> TypeRepo
         scales.append(max(1.0, float(np.abs(grid).max())))
 
     def stable_high_order(k: int, value: float) -> bool:
-        if branch.source is BranchSource.CLOSED_FORM or k <= 3:
+        if k <= 3:
             return True
         doubled = float(branch.derivative_grid(k, stride=2)[i])
         return abs(doubled - value) <= 0.5 * max(abs(value), abs(doubled))
@@ -340,9 +298,7 @@ def _centered_window(center: float, half_width: float, nodes: int) -> tuple[floa
     return (center - (nodes // 2) * h, center + (nodes - nodes // 2) * h)
 
 
-def mobius_retype(f: Poly2, t0: float, a_candidates,
-                  half_width: float = 0.8, nodes: int = 256,
-                  max_order: int = 5) -> tuple[MobiusParams, TypeReport]:
+def mobius_retype(f: Poly2, t0: float, a_candidates) -> tuple[MobiusParams, TypeReport]:
     """Reach a type-2 point by composing with a z1-Mobius map.
 
     If the branch of f through t0 is already of type 2 the identity
@@ -350,10 +306,13 @@ def mobius_retype(f: Poly2, t0: float, a_candidates,
     nonzero imaginary part) is applied via the cleared composition, the
     image branch is retraced near the image of t0, and the first candidate
     achieving type 2 wins.  Failing all candidates raises with the
-    per-candidate reports.
+    per-candidate reports.  Each branch is traced at RETYPE_NODES nodes
+    over RETYPE_HALF_WIDTH on either side of its point and typed up to
+    `curve_type_at`'s default order.
     """
-    base = trace_branch(f, _centered_window(t0, half_width, nodes), nodes)
-    base_report = curve_type_at(base, t0, max_order)
+    nodes = RETYPE_NODES
+    base = trace_branch(f, _centered_window(t0, RETYPE_HALF_WIDTH, nodes), nodes)
+    base_report = curve_type_at(base, t0)
     if base_report.tau == 2:
         return MobiusParams(0j, 0j), base_report
 
@@ -369,9 +328,9 @@ def mobius_retype(f: Poly2, t0: float, a_candidates,
         z1_image = (a - np.exp(1j * t0)) / (1.0 - np.conj(a) * np.exp(1j * t0))
         t_image = float(np.angle(z1_image))
         try:
-            img = trace_branch(g, _centered_window(t_image, half_width, nodes),
+            img = trace_branch(g, _centered_window(t_image, RETYPE_HALF_WIDTH, nodes),
                                nodes, start_hint=m_t0)
-            report = curve_type_at(img, t_image, max_order)
+            report = curve_type_at(img, t_image)
         except ValueError as e:
             failures.append((a, f"tracing failed: {e}"))
             continue

@@ -23,6 +23,7 @@ from .poly2 import (Poly2, coeff_distance, compute_h, unimodular_reflection_matc
 
 UNITARITY_TOL = 1e-10
 INNER_RADIUS_TOL = 1e-8     # a det P root below 1 - tol lies inside the disk
+AGLER_SAMPLES = 200         # random (z, w) pairs verify_agler_identity checks
 
 
 @dataclass(frozen=True)
@@ -123,14 +124,14 @@ class AglerPair:
         return Pv, Qv
 
 
-def verify_agler_identity(f: Poly2, pair: AglerPair, samples: int = 200,
-                          rng: np.random.Generator | None = None) -> float:
+def verify_agler_identity(f: Poly2, pair: AglerPair) -> float:
     """Max residual of the two-kernel decomposition on random bidisk pairs.
 
     Checks ht(z) conj(ht(w)) - h(z) conj(h(w)) =
     (1 - z1 conj(w1)) P(w)* P(z) + (1 - z2 conj(w2)) Q(w)* Q(z)
-    at `samples` random (z, w) in the open bidisk, where h = z1 d1 f + z2 d2 f
-    and ht is its reflection at the bidegree of f.
+    at AGLER_SAMPLES random (z, w) in the open bidisk, drawn from
+    default_rng(0), where h = z1 d1 f + z2 d2 f and ht is its reflection at
+    the bidegree of f.
     """
     n, m = f.bidegree
     if pair.n != n or pair.m != m:
@@ -138,12 +139,13 @@ def verify_agler_identity(f: Poly2, pair: AglerPair, samples: int = 200,
     match = unimodular_reflection_match(f)
     if not match.matches or abs(match.lam - 1.0) > 1e-6:
         raise ValueError("f must satisfy f~ = f (normalize first)")
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     h = compute_h(f)
     ht = h.reflect(bidegree=(n, m))  # reflect at the bidegree of f
 
-    z = 0.9 * (rng.uniform(-1, 1, (samples, 2)) + 1j * rng.uniform(-1, 1, (samples, 2))) / np.sqrt(2)
-    w = 0.9 * (rng.uniform(-1, 1, (samples, 2)) + 1j * rng.uniform(-1, 1, (samples, 2))) / np.sqrt(2)
+    shape = (AGLER_SAMPLES, 2)
+    z = 0.9 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)) / np.sqrt(2)
+    w = 0.9 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)) / np.sqrt(2)
 
     hz, hw = h(z[:, 0], z[:, 1]), h(w[:, 0], w[:, 1])
     htz, htw = ht(z[:, 0], z[:, 1]), ht(w[:, 0], w[:, 1])

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .poly2 import Poly2
 
@@ -40,69 +39,6 @@ class AlphaSpace:
 def alpha_norm(f: Poly2, space: AlphaSpace) -> float:
     w = space.weight_grid(f.coeffs.shape)
     return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
-
-
-def alpha_inner(f: Poly2, g: Poly2, space: AlphaSpace) -> complex:
-    K = max(f.coeffs.shape[0], g.coeffs.shape[0])
-    L = max(f.coeffs.shape[1], g.coeffs.shape[1])
-    w = space.weight_grid((K, L))
-    return complex(np.sum(w * f.padded((K, L)) * np.conj(g.padded((K, L)))))
-
-
-def _radial_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Legendre on u = r^2 in [0, 1]
-    x, w = leggauss(nodes)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _disk_quad(poly_vals_fn, alpha: float, nodes: int) -> float:
-    """Integral over the disk of |g|^2 (1-|z|^2)^(1-alpha) dA/pi."""
-    u, wu = _radial_nodes(nodes)
-    th = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False)
-    z = np.sqrt(u)[:, None] * np.exp(1j * th)[None, :]
-    vals = poly_vals_fn(z)
-    radial_weight = (1.0 - u) ** (1.0 - alpha)
-    ang_mean = np.mean(np.abs(vals) ** 2, axis=1)
-    return float(np.sum(wu * radial_weight * ang_mean))
-
-
-def integral_norm_quadrature(f: Poly2, alpha: float, nodes: int = 48) -> float:
-    """Equivalent integral norm via Gauss-Legendre x trapezoid quadrature.
-
-    Uses the convention dA = Lebesgue measure on the disk divided by pi, so
-    the unit disk has measure one.  Only defined for alpha < 2.
-    """
-    if alpha >= 2:
-        raise ValueError("integral norm requires alpha < 2")
-    a00 = complex(f.coeffs[0, 0])
-    total = abs(a00) ** 2
-
-    d1 = f.partial_derivative(1)
-    c1 = d1.coeffs[:, 0]  # z1-coefficients of d1(., 0)
-    if np.any(c1 != 0):
-        total += _disk_quad(lambda z: np.polynomial.polynomial.polyval(z, c1),
-                            alpha, nodes)
-
-    d2 = f.partial_derivative(2)
-    c2 = d2.coeffs[0, :]
-    if np.any(c2 != 0):
-        total += _disk_quad(lambda z: np.polynomial.polynomial.polyval(z, c2),
-                            alpha, nodes)
-
-    d12 = d1.partial_derivative(2)
-    if not d12.is_zero:
-        u, wu = _radial_nodes(nodes)
-        th = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False)
-        z = (np.sqrt(u)[:, None] * np.exp(1j * th)[None, :]).ravel()
-        rw = ((1.0 - u) ** (1.0 - alpha))[:, None]
-        wgrid = (wu[:, None] * rw * np.ones_like(th)[None, :] / nodes).ravel()
-        k, l = d12.bidegree
-        V1 = z[:, None] ** np.arange(k + 1)[None, :]
-        V2 = z[:, None] ** np.arange(l + 1)[None, :]
-        vals = V1 @ d12.coeffs @ V2.T
-        total += float(wgrid @ (np.abs(vals) ** 2) @ wgrid)
-
-    return float(np.sqrt(total))
 
 
 @dataclass(frozen=True)
@@ -134,7 +70,19 @@ def optimal_approximant(f: Poly2, space: AlphaSpace, degree_cap: int) -> Approxi
 
 
 def _gram(f: Poly2, space: AlphaSpace, cap: int, bi: np.ndarray, bj: np.ndarray) -> np.ndarray:
-    """Gram matrix of the shifts of f by the basis (bi, bj), in that order."""
+    """Gram matrix <z^b' f, z^b f> of the shifts of f by the basis (bi, bj),
+    in that order, real when f has real coefficients.
+
+    The entry for b = (i, j), b' = (i + d, j + e) is
+
+        sum_{p,q} w_{p+i} w_{q+j} conj(a[p,q]) a[p-d,q-e] = (Hk C Hl^T)[i, j]
+
+    with the Hankel matrices Hk[i, p] = w_{p+i}, Hl[j, q] = w_{q+j} of the
+    weight in each variable and f's autocorrelation term
+    C[p, q] = conj(a[p,q]) a[p-d,q-e], which vanishes unless (d, e) is a
+    difference of two points of supp f, so |d| <= n and |e| <= m.  Each
+    such offset is one small product, scattered into the band.
+    """
     a = f.coeffs if np.any(f.coeffs.imag) else f.coeffs.real
     n, m = a.shape[0] - 1, a.shape[1] - 1
 
@@ -159,24 +107,6 @@ def _gram(f: Poly2, space: AlphaSpace, cap: int, bi: np.ndarray, bj: np.ndarray)
             ok = (i >= 0) & (j >= 0) & (i + j <= cap)
             G[np.flatnonzero(ok), index[i[ok], j[ok]]] = T[bi[ok], bj[ok]]
     return G
-
-
-def gram_matrix(f: Poly2, space: AlphaSpace, cap: int) -> np.ndarray:
-    """Gram matrix <z^b' f, z^b f> of the shifts of f by the total-degree
-    basis of `cap`, real when f has real coefficients.
-
-    The entry for b = (i, j), b' = (i + d, j + e) is
-
-        sum_{p,q} w_{p+i} w_{q+j} conj(a[p,q]) a[p-d,q-e] = (Hk C Hl^T)[i, j]
-
-    with the Hankel matrices Hk[i, p] = w_{p+i}, Hl[j, q] = w_{q+j} of the
-    weight in each variable and f's autocorrelation term
-    C[p, q] = conj(a[p,q]) a[p-d,q-e], which vanishes unless (d, e) is a
-    difference of two points of supp f, so |d| <= n and |e| <= m.  Each
-    such offset is one small product, scattered into the band.
-    """
-    bi, bj = np.array(_total_degree_basis(cap)).T
-    return _gram(f, space, cap, bi, bj)
 
 
 def _extended_gcd(x: int, y: int) -> tuple[int, int, int]:

@@ -76,18 +76,6 @@ class Poly2:
         a[k, l] = c
         return cls(a)
 
-    @classmethod
-    def from_terms(cls, terms: dict) -> "Poly2":
-        """Build from {(k, l): coefficient} pairs."""
-        if not terms:
-            return cls.zero()
-        n = max(k for k, _ in terms)
-        m = max(l for _, l in terms)
-        a = np.zeros((n + 1, m + 1), dtype=complex)
-        for (k, l), c in terms.items():
-            a[k, l] = c
-        return cls(a)
-
     # -- structure ----------------------------------------------------------
 
     @property

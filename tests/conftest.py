@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bicyclic.curvegeom import TWO_PI, CurveBranch, _detect_periodicity
 from bicyclic.poly2 import Poly2
 
 
@@ -33,3 +34,43 @@ def random_poly(rng, max_deg=4, real=False):
 def torus_samples(rng, count):
     th = rng.uniform(0.0, 2 * np.pi, (count, 2))
     return np.exp(1j * th[:, 0]), np.exp(1j * th[:, 1])
+
+
+def from_terms(terms: dict) -> Poly2:
+    """Build from {(k, l): coefficient} pairs."""
+    if not terms:
+        return Poly2.zero()
+    n = max(k for k, _ in terms)
+    m = max(l for _, l in terms)
+    a = np.zeros((n + 1, m + 1), dtype=complex)
+    for (k, l), c in terms.items():
+        a[k, l] = c
+    return Poly2(a)
+
+
+def closed_form_branch_fa(a: float, t_window: tuple[float, float] = (0.0, TWO_PI),
+                          nodes: int = 512) -> CurveBranch:
+    """Branch of Z(f_a) with closed-form m and derivatives, for real a in (0,1).
+
+    m is the continuous branch of pi + arctan((1-a^2) sin t / (2a -
+    (1+a^2) cos t)) anchored at m(0) = pi; the displayed derivative formulas
+    are global.
+    """
+    if not (0.0 < a < 1.0) or abs(np.imag(a)) > 0:
+        raise ValueError("closed form requires real a in (0, 1)")
+    t0, t1 = float(t_window[0]), float(t_window[1])
+    t = t0 + (t1 - t0) * np.arange(nodes) / nodes
+    z1 = np.exp(1j * t)
+    z2 = (a * z1 - 1.0) / (z1 - a)
+    # np.unwrap keeps the first element at its principal value, matching the
+    # anchor convention of trace_branch
+    m = np.unwrap(np.angle(z2))
+
+    D = 2 * a * np.cos(t) - 1.0 - a * a
+    dm = (1.0 - a * a) / D
+    d2m = 2 * a * (1.0 - a * a) * np.sin(t) / D ** 2
+    d3m = 2 * a * (1.0 - a * a) * (np.cos(t) * D + 4 * a * np.sin(t) ** 2) / D ** 3
+
+    periodic, winding = _detect_periodicity(t, m, (t0, t1))
+    return CurveBranch(t=t, m=m, dm=dm, d2m=d2m, d3m=d3m,
+                       periodic=periodic, winding=winding)

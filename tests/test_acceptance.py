@@ -16,14 +16,15 @@ from bicyclic.capacity import (TrendVerdict, cofactor_experiment, decay_fit,
                                make_uniform_measure, riesz_energy, trend_verdict)
 from bicyclic.classifier import Threshold, classify
 from bicyclic.cli import run as cli_run
-from bicyclic.curvegeom import (closed_form_branch_fa, curve_type_at, fa_poly,
-                                mobius_retype, trace_branch)
+from bicyclic.curvegeom import curve_type_at, fa_poly, mobius_retype, trace_branch
 from bicyclic.detrep import (AglerPair, DetRep, polynomial_from_unitary,
                              random_unitary, unitary_from_pair,
                              verify_agler_identity)
-from bicyclic.dirichlet import AlphaSpace, alpha_inner, alpha_norm, optimal_approximant
+from bicyclic.dirichlet import AlphaSpace, alpha_norm, optimal_approximant
 from bicyclic.poly2 import Poly2, coeff_distance, compute_h, normalize_symmetric
 from bicyclic.stability import bidisk_zero_scan
+from conftest import closed_form_branch_fa
+from test_dirichlet import alpha_inner
 
 TWO_PI = 2 * np.pi
 

@@ -6,8 +6,9 @@ from bicyclic.capacity import (TrendVerdict, _lattice_values, cofactor_experimen
                                make_uniform_measure, noncyclicity_certificate,
                                riesz_energy, trend_verdict)
 from bicyclic.classifier import classify
-from bicyclic.curvegeom import closed_form_branch_fa, fa_poly, trace_branch
+from bicyclic.curvegeom import fa_poly, trace_branch
 from bicyclic.poly2 import Poly2
+from conftest import closed_form_branch_fa
 
 TWO_PI = 2 * np.pi
 

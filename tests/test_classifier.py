@@ -135,3 +135,17 @@ class TestEvidence:
     def test_no_certificate_for_finite_case(self, two_minus):
         v = classify_with_evidence([two_minus], [0.75], [0, 4])
         assert v.evidence[0].certificate is None
+
+    def test_degree_caps_read_once(self, two_minus):
+        # a generator of caps gives every alpha the full profile, not the
+        # first alpha only
+        expect = classify_with_evidence([two_minus], [0.25, 0.75], [0, 2, 4])
+        v = classify_with_evidence([two_minus], [0.25, 0.75], (N for N in [0, 2, 4]))
+        assert [len(ev.profile) for ev in v.evidence] == [3, 3]
+        assert v.to_dict() == expect.to_dict()
+
+    def test_factors_and_alphas_read_once(self, two_minus):
+        expect = classify_with_evidence([two_minus], [0.25, 0.75], [0, 2, 4])
+        v = classify_with_evidence((f for f in [two_minus]), (a for a in [0.25, 0.75]),
+                                   [0, 2, 4])
+        assert v.to_dict() == expect.to_dict()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bicyclic.curvegeom import (closed_form_branch_fa, curve_type_at,
-                                fa_poly, mobius_retype, trace_branch)
+from bicyclic.curvegeom import curve_type_at, fa_poly, mobius_retype, trace_branch
 from bicyclic.poly2 import Poly2
+from conftest import closed_form_branch_fa
 from test_roots import per_row_slice_roots
 
 TWO_PI = 2 * np.pi

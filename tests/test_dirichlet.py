@@ -2,13 +2,82 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from bicyclic.dirichlet import (AlphaSpace, _support_lattice, _swap_symmetric, alpha_inner,
-                                alpha_norm, distance_profile, gram_matrix,
-                                integral_norm_quadrature, optimal_approximant,
-                                profile_csv_rows)
+from bicyclic.dirichlet import (AlphaSpace, _gram, _support_lattice, _swap_symmetric,
+                                _total_degree_basis, alpha_norm, distance_profile,
+                                optimal_approximant, profile_csv_rows)
 from bicyclic.poly2 import Poly2
-from conftest import random_poly
+from conftest import from_terms, random_poly
+
+
+def alpha_inner(f: Poly2, g: Poly2, space: AlphaSpace) -> complex:
+    K = max(f.coeffs.shape[0], g.coeffs.shape[0])
+    L = max(f.coeffs.shape[1], g.coeffs.shape[1])
+    w = space.weight_grid((K, L))
+    return complex(np.sum(w * f.padded((K, L)) * np.conj(g.padded((K, L)))))
+
+
+def _radial_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Legendre on u = r^2 in [0, 1]
+    x, w = leggauss(nodes)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _disk_quad(poly_vals_fn, alpha: float, nodes: int) -> float:
+    """Integral over the disk of |g|^2 (1-|z|^2)^(1-alpha) dA/pi."""
+    u, wu = _radial_nodes(nodes)
+    th = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False)
+    z = np.sqrt(u)[:, None] * np.exp(1j * th)[None, :]
+    vals = poly_vals_fn(z)
+    radial_weight = (1.0 - u) ** (1.0 - alpha)
+    ang_mean = np.mean(np.abs(vals) ** 2, axis=1)
+    return float(np.sum(wu * radial_weight * ang_mean))
+
+
+def integral_norm_quadrature(f: Poly2, alpha: float, nodes: int = 48) -> float:
+    """Equivalent integral norm via Gauss-Legendre x trapezoid quadrature.
+
+    Uses the convention dA = Lebesgue measure on the disk divided by pi, so
+    the unit disk has measure one.  Only defined for alpha < 2.
+    """
+    if alpha >= 2:
+        raise ValueError("integral norm requires alpha < 2")
+    a00 = complex(f.coeffs[0, 0])
+    total = abs(a00) ** 2
+
+    d1 = f.partial_derivative(1)
+    c1 = d1.coeffs[:, 0]  # z1-coefficients of d1(., 0)
+    if np.any(c1 != 0):
+        total += _disk_quad(lambda z: np.polynomial.polynomial.polyval(z, c1),
+                            alpha, nodes)
+
+    d2 = f.partial_derivative(2)
+    c2 = d2.coeffs[0, :]
+    if np.any(c2 != 0):
+        total += _disk_quad(lambda z: np.polynomial.polynomial.polyval(z, c2),
+                            alpha, nodes)
+
+    d12 = d1.partial_derivative(2)
+    if not d12.is_zero:
+        u, wu = _radial_nodes(nodes)
+        th = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False)
+        z = (np.sqrt(u)[:, None] * np.exp(1j * th)[None, :]).ravel()
+        rw = ((1.0 - u) ** (1.0 - alpha))[:, None]
+        wgrid = (wu[:, None] * rw * np.ones_like(th)[None, :] / nodes).ravel()
+        k, l = d12.bidegree
+        V1 = z[:, None] ** np.arange(k + 1)[None, :]
+        V2 = z[:, None] ** np.arange(l + 1)[None, :]
+        vals = V1 @ d12.coeffs @ V2.T
+        total += float(wgrid @ (np.abs(vals) ** 2) @ wgrid)
+
+    return float(np.sqrt(total))
+
+
+def gram_matrix(f: Poly2, space: AlphaSpace, cap: int) -> np.ndarray:
+    """`_gram` over the total-degree basis of `cap`, in degree order."""
+    bi, bj = np.array(_total_degree_basis(cap)).T
+    return _gram(f, space, cap, bi, bj)
 
 
 def oracle_design(f, alpha, N):
@@ -301,7 +370,7 @@ def sparse_poly(terms, rng=None):
     coefficients on the same support."""
     if rng is not None:
         terms = {kl: complex(rng.standard_normal(), rng.standard_normal()) for kl in terms}
-    return Poly2.from_terms(terms)
+    return from_terms(terms)
 
 
 LATTICE_SPARSE = {

@@ -1,0 +1,87 @@
+"""The public surface: the package exports and the benchmark tracer's targets.
+
+`perfbench/tracer.py` looks each target up by module and attribute name and
+reads some arguments by position, so a renamed function or a moved
+parameter would break only its traced runs.  These tests catch that here.
+"""
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import bicyclic
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+EXPORTS = {
+    "AglerPair", "AlphaSpace", "ApproximantResult", "BidiskStabilityReport",
+    "CofactorReport", "CurveBranch", "CurveMeasure", "CyclicityVerdict", "DecayFit",
+    "DetRep", "EnergyReport", "FactorAnalysis", "FourierTable", "MobiusParams",
+    "Poly2", "Threshold", "TorusZeroKind", "TorusZeroSet", "TrendVerdict",
+    "TypeReport", "UnimodularMatch",
+    "alpha_norm", "bidisk_zero_scan", "classify", "classify_with_evidence",
+    "coeff_distance", "cofactor_experiment", "compute_h", "curve_type_at",
+    "decay_fit", "det_p_extraction", "distance_profile", "fa_poly",
+    "fourier_coefficients", "load_pair_dataset", "mobius_numerator", "mobius_retype",
+    "noncyclicity_certificate", "normalize_symmetric", "optimal_approximant",
+    "polynomial_from_unitary", "random_unitary", "riesz_energy",
+    "sylvester_resultant_z2", "torus_zero_classification", "trace_branch",
+    "unimodular_reflection_match", "unitary_from_pair", "verify_agler_identity",
+    # the submodules the package imports
+    "capacity", "classifier", "curvegeom", "detrep", "dirichlet", "poly2", "stability",
+}
+
+# span name -> (position, parameter name) of each argument its counter reads
+COUNTED_ARGUMENTS = {
+    "poly2.eval": [(1, "z1"), (2, "z2")],
+    "dirichlet.approximant": [(2, "degree_cap")],
+    "curvegeom.trace": [(2, "nodes")],
+    "capacity.fourier": [(0, "mu"), (1, "K")],
+    "capacity.cofactor": [(4, "grid")],
+    "cli.run": [(0, "argv")],
+}
+
+# counters that read only the result
+RESULT_COUNTERS = {"roots.batched", "roots.low_first", "stability.torus"}
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolve(mod: str, attr: str):
+    owner = importlib.import_module(f"bicyclic.{mod}")
+    if "." in attr:
+        cls_name, slot = attr.split(".")
+        return getattr(owner, cls_name).__dict__[slot]
+    return getattr(owner, attr)
+
+
+def test_all_is_pinned():
+    assert set(bicyclic.__all__) == EXPORTS
+
+
+TARGETS = load_tracer().TARGETS
+COUNTED = [t for t in TARGETS if t[0] in COUNTED_ARGUMENTS]
+
+
+@pytest.mark.parametrize("name,mod,attr,count", TARGETS, ids=[t[0] for t in TARGETS])
+def test_tracer_target_resolves(name, mod, attr, count):
+    assert callable(resolve(mod, attr))
+
+
+def test_every_counter_is_listed():
+    counted = {name for name, _, _, count in TARGETS if count is not None}
+    assert counted == set(COUNTED_ARGUMENTS) | RESULT_COUNTERS
+
+
+@pytest.mark.parametrize("name,mod,attr,count", COUNTED, ids=[t[0] for t in COUNTED])
+def test_counted_arguments_keep_their_positions(name, mod, attr, count):
+    params = list(inspect.signature(resolve(mod, attr)).parameters)
+    for index, param in COUNTED_ARGUMENTS[name]:
+        assert params[index] == param

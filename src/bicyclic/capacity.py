@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvegeom import CurveBranch, curve_type_at, trace_branch
-from .poly2 import SAME_POINT_TOL, Poly2
+from ._roots import line_fit
+from .curvegeom import TWO_PI, CurveBranch, curve_type_at, trace_branch
+from .poly2 import SAME_POINT_TOL, ZERO_VALUE_TOL, Poly2
 from .stability import TorusZeroKind, torus_zero_classification
-
-TWO_PI = 2.0 * np.pi
 
 CONVERGENT_RATIO = 0.9       # increment ratio below which the trend is convergent
 DIVERGENT_RATIO = 0.98       # increment ratio above which increments count as non-decreasing
@@ -187,16 +186,12 @@ def decay_fit(table: FourierTable, shells: int,
     radii = np.asarray(radii)
     maxima = np.asarray(maxima)
 
-    x = np.log(radii)
-    y = np.log(np.maximum(maxima, 1e-300))
-    A = np.vstack([x, np.ones_like(x)]).T
-    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-    fit_res = float(np.sqrt(np.mean((A @ sol - y) ** 2)))
+    slope, intercept, resid = line_fit(np.log(radii), np.log(np.maximum(maxima, 1e-300)))
     stat = None
     if tau_claimed is not None:
         stat = float(np.max(maxima * radii ** (1.0 / tau_claimed)))
-    return DecayFit(shell_radii=radii, shell_maxima=maxima, slope=float(sol[0]),
-                    intercept=float(sol[1]), fit_residual=fit_res,
+    return DecayFit(shell_radii=radii, shell_maxima=maxima, slope=slope,
+                    intercept=intercept, fit_residual=float(np.sqrt(np.mean(resid ** 2))),
                     bound_statistic=stat, tau_claimed=tau_claimed)
 
 
@@ -254,40 +249,35 @@ def riesz_energy(table: FourierTable, alpha: float, cutoffs) -> EnergyReport:
         dbl = 0.5 * float(wkk @ block @ wll)
         sums.append(1.0 + ax1 + ax2 + dbl)
 
-    verdict = trend_verdict(sums)
-    x = np.log(np.asarray(cutoffs, dtype=float))
-    y = np.log(np.asarray(sums))
-    A = np.vstack([x, np.ones_like(x)]).T
-    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
+    slope, _, _ = line_fit(np.log(np.asarray(cutoffs, dtype=float)), np.log(np.asarray(sums)))
     return EnergyReport(alpha=alpha, cutoffs=tuple(cutoffs),
                         partial_sums=tuple(float(s) for s in sums),
-                        verdict=verdict, tail_slope=float(sol[0]))
+                        verdict=trend_verdict(sums), tail_slope=slope)
 
 
 def branch_measure(f: Poly2, K: int, uniform: bool = False) -> CurveMeasure:
     """The measure on the full branch of Z(f), traced at max(8K, 1024) nodes,
     that the fourier, energy and certificate pipelines share.
 
-    Uniform when `uniform` is set or the branch is a straight line in the
-    torus (its coefficients then lie on one frequency line).  Otherwise a
-    smooth bump centered on the node of largest |m''|, which must be of
-    type 2, shrunk until |m''| stays above 30% of its center value.
+    Uniform when `uniform` is set.  Otherwise a smooth bump centered on the
+    node of largest |m''| when `curve_type_at` gives that node type 2,
+    shrunk until |m''| stays above 30% of its center value, and uniform when
+    it does not: the order-2 threshold is one bound on |m''| over the whole
+    branch, so then no node has type 2 (as on a straight line in the torus,
+    whose coefficients lie on one frequency line).
     """
     branch = trace_branch(f, (0.0, TWO_PI), max(8 * K, 1024))
-    d2 = branch.d2m
-    if uniform or float(np.abs(d2).max()) <= 1e-7 * max(1.0, float(np.abs(branch.dm).max())):
+    if uniform:
         return make_uniform_measure(branch)
-    center_idx = int(np.argmax(np.abs(d2)))
+    d2 = np.abs(branch.d2m)
+    center_idx = int(np.argmax(d2))
     center = float(branch.t[center_idx])
-    report = curve_type_at(branch, center)
-    if report.tau != 2:
-        raise ValueError(f"no type-2 point found (type at max curvature: {report.tau})")
+    if curve_type_at(branch, center).tau != 2:
+        return make_uniform_measure(branch)
+    dist = np.abs((branch.t - center + np.pi) % TWO_PI - np.pi)
     half = 0.8
-    mid = abs(d2[center_idx])
     for _ in range(8):
-        s = (branch.t - center + np.pi) % TWO_PI - np.pi
-        inside = np.abs(s) < half
-        if np.abs(d2[inside]).min() >= 0.3 * mid:
+        if d2[dist < half].min() >= 0.3 * d2[center_idx]:
             break
         half *= 0.7
     return make_bump_measure(branch, center, half)
@@ -296,8 +286,8 @@ def branch_measure(f: Poly2, K: int, uniform: bool = False) -> CurveMeasure:
 def noncyclicity_certificate(f: Poly2, alpha: float, K: int = 128) -> EnergyReport:
     """Energy evidence that f with a torus zero curve is not cyclic at alpha.
 
-    The measure is `branch_measure(f, K)`: uniform on a line branch, a
-    smooth bump at a type-2 point of a curved one.  A convergent trend at
+    The measure is `branch_measure(f, K)`: a smooth bump at a type-2 point,
+    uniform on a branch without one (a line).  A convergent trend at
     alpha is evidence of non-cyclicity for all larger parameters; the
     certificate only has force for alpha > 1/2 (below that threshold the
     energy diverges for every such measure and the verdict says so).  It is
@@ -361,6 +351,7 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int) -> CofactorR
     """
     if grid < 256 or grid & (grid - 1):
         raise ValueError("grid must be a power of two, at least 256")
+    zeros = list(zeros)     # read twice below, so a one-pass iterable would run dry
     w = np.exp(1j * TWO_PI * np.arange(grid) / grid)
     fv = _lattice_values(f, w)
 
@@ -369,7 +360,7 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int) -> CofactorR
     b = np.prod(w[:, None] - zeta[:, 1], axis=1) ** q
     q0v = np.outer(a ** N, b ** N)
 
-    tiny = np.abs(fv) <= 1e-10 * f.scale
+    tiny = np.abs(fv) <= ZERO_VALUE_TOL * f.scale
     if tiny.any():
         for i, j in zip(*np.nonzero(tiny)):
             p1, p2 = w[i], w[j]

@@ -25,7 +25,7 @@ from .curvegeom import _centered_window, curve_type_at, fa_poly, trace_branch
 from .detrep import (DetRep, load_pair_dataset, polynomial_from_unitary,
                      random_unitary)
 from .dirichlet import AlphaSpace, distance_profile, profile_csv_rows
-from .poly2 import Poly2, complex_from_pair
+from .poly2 import Poly2, complex_from_pair, complex_to_pair
 from .stability import TorusZeroKind, torus_zero_classification, zero_reports
 
 EXIT_CODES = {
@@ -128,7 +128,7 @@ def _cmd_detgen(cfg: RunConfig, args) -> int:
         rep = unitary_from_pair(g, AglerPair(entry["P"], entry["Q"]))
         f = polynomial_from_unitary(rep)
         _write_polynomial(cfg, f, dataset=args.dataset,
-                          unitary=[[[c.real, c.imag] for c in row] for row in rep.U])
+                          unitary=[[complex_to_pair(c) for c in row] for row in rep.U])
         print(f"reconstructed {args.dataset}: bidegree {f.bidegree}")
         return 0
     if not args.unitary or not args.size:
@@ -173,7 +173,7 @@ def _cmd_fourier(cfg: RunConfig, args) -> int:
     table = fourier_coefficients(mu, args.K)
     fit = decay_fit(table, args.shells, tau_claimed=args.tau) if args.K >= 32 else None
     doc = {"config": cfg.to_dict(), "K": args.K, "profile": mu.profile,
-           "coefficients": [[[c.real, c.imag] for c in row] for row in table.coeffs]}
+           "coefficients": [[complex_to_pair(c) for c in row] for row in table.coeffs]}
     if fit is not None:
         doc["decay"] = {"slope": fit.slope, "bound_statistic": fit.bound_statistic,
                         "shell_maxima": fit.shell_maxima.tolist()}

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._roots import line_fit
 from .poly2 import (ZERO_VALUE_TOL, MobiusParams, Poly2, mobius_numerator,
                     unimodular_slice_roots)
 
@@ -102,18 +103,9 @@ class CurveBranch:
             return (sl(-2) - 4 * sl(-1) + 6 * sl(0) - 4 * sl(1) + sl(2)) / h ** 4
         return (-sl(-3) + 4 * sl(-2) - 5 * sl(-1) + 5 * sl(1) - 4 * sl(2) + sl(3)) / (2 * h ** 5)
 
-    def derivatives_at(self, index: int, max_order: int) -> list[float]:
-        """m^(k)(t_index) for k = 1..max_order: the stored dm, d2m, d3m up to
-        order 3, finite differences above."""
-        stored = (self.dm, self.d2m, self.d3m)
-        return [float(stored[k - 1][index] if k <= 3 else self.derivative_grid(k)[index])
-                for k in range(1, max_order + 1)]
-
     def is_affine(self) -> bool:
         """True when m(t) fits a straight line to within AFFINE_TOL."""
-        A = np.vstack([self.t, np.ones_like(self.t)]).T
-        sol, *_ = np.linalg.lstsq(A, self.m, rcond=None)
-        resid = float(np.abs(A @ sol - self.m).max())
+        resid = float(np.abs(line_fit(self.t, self.m)[2]).max())
         return resid <= AFFINE_TOL * max(1.0, float(np.abs(self.m).max()))
 
     def csv_rows(self) -> list[str]:
@@ -256,7 +248,12 @@ def curve_type_at(branch: CurveBranch, t: float, max_order: int = 5) -> TypeRepo
     if max_order < 2:
         raise ValueError("max_order must be at least 2")
     i = branch.node_index(t)
-    derivs = branch.derivatives_at(i, max_order)
+    # m^(k) on the grid: the stored dm, d2m, d3m up to order 3, finite
+    # differences above
+    stored = (branch.dm, branch.d2m, branch.d3m)
+    grids = [stored[k - 1] if k <= 3 else branch.derivative_grid(k)
+             for k in range(1, max_order + 1)]
+    derivs = [float(g[i]) for g in grids]
     norm = np.hypot(1.0, derivs[0])
     eta = (-derivs[0] / norm, 1.0 / norm)
 
@@ -267,10 +264,7 @@ def curve_type_at(branch: CurveBranch, t: float, max_order: int = 5) -> TypeRepo
                           thresholds=())
 
     # relative thresholds from the derivative magnitude over the window
-    scales = []
-    for k in range(1, max_order + 1):
-        grid = branch.derivative_grid(k)
-        scales.append(max(1.0, float(np.abs(grid).max())))
+    scales = [max(1.0, float(np.abs(g).max())) for g in grids]
 
     def stable_high_order(k: int, value: float) -> bool:
         if k <= 3:

@@ -17,9 +17,9 @@ from importlib import resources
 
 import numpy as np
 
-from ._roots import roots_low_first, trim_trailing
-from .poly2 import (Poly2, coeff_distance, compute_h, unimodular_reflection_match,
-                    unimodular_slice_roots)
+from ._roots import interpolate_roots_of_unity, roots_low_first
+from .poly2 import (Poly2, coeff_distance, complex_from_pair, compute_h,
+                    unimodular_reflection_match, unimodular_slice_roots)
 
 UNITARITY_TOL = 1e-10
 INNER_RADIUS_TOL = 1e-8     # a det P root below 1 - tol lies inside the disk
@@ -222,7 +222,7 @@ def det_p_extraction(pair_or_matrix) -> np.ndarray:
     V = nodes[:, None] ** np.arange(dp1)[None, :]
     entries = np.einsum("ijd,sd->sij", mat, V)
     dets = np.linalg.det(entries)
-    coeffs = trim_trailing(np.fft.fft(dets) / S, rel=1e-11)
+    coeffs = interpolate_roots_of_unity(dets)
     for r in roots_low_first(coeffs):
         if abs(r) < 1.0 - INNER_RADIUS_TOL:
             raise ValueError(
@@ -244,6 +244,6 @@ def load_pair_dataset() -> dict:
         }
         if "U_expected" in entry:
             item["U_expected"] = np.array(
-                [[complex(c[0], c[1]) for c in row] for row in entry["U_expected"]])
+                [[complex_from_pair(c) for c in row] for row in entry["U_expected"]])
         out[name] = item
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.polynomial.polynomial as P
 
-from ._roots import RELATIVE_COEFF_FLOOR, batched_roots, trim_trailing
+from ._roots import RELATIVE_COEFF_FLOOR, batched_roots, interpolate_roots_of_unity
 
 DEFAULT_TRIM_TOL = 1e-12
 SYMMETRY_TOL = 1e-9         # max |f~ - lambda f| <= tol * scale is a match
@@ -209,8 +209,7 @@ class Poly2:
         n, m = self.bidegree
         return {
             "bidegree": [n, m],
-            "coeffs": [[[float(c.real), float(c.imag)] for c in row]
-                       for row in self.coeffs],
+            "coeffs": [[complex_to_pair(c) for c in row] for row in self.coeffs],
         }
 
     @classmethod
@@ -239,6 +238,12 @@ def complex_from_pair(pair) -> complex:
             or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in pair)):
         raise ValueError(f"expected an [re, im] pair of real numbers, got {pair!r}")
     return complex(pair[0], pair[1])
+
+
+def complex_to_pair(z) -> list[float]:
+    """The JSON pair [re, im] of a complex number, the inverse of
+    `complex_from_pair`."""
+    return [float(z.real), float(z.imag)]
 
 
 def _as_poly(x) -> Poly2:
@@ -416,5 +421,4 @@ def sylvester_resultant_z2(f: Poly2, g: Poly2) -> np.ndarray:
     if np.abs(dets).max() <= RESULTANT_ZERO_TOL * max(hadamard, 1e-300):
         return np.zeros(1, dtype=complex)
 
-    coeffs = np.fft.fft(dets) / S
-    return trim_trailing(coeffs, rel=1e-11)
+    return interpolate_roots_of_unity(dets)

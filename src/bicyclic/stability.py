@@ -31,7 +31,7 @@ import numpy as np
 
 from ._roots import newton_polish, roots_low_first
 from .poly2 import (SAME_POINT_TOL, SYMMETRY_TOL, ZERO_VALUE_TOL, Poly2,
-                    UnimodularMatch, slice_rows, sylvester_resultant_z2,
+                    UnimodularMatch, complex_to_pair, slice_rows, sylvester_resultant_z2,
                     unimodular_reflection_match, unimodular_slice_roots)
 
 OPEN_MARGIN = 1e-7          # modulus band separating open from boundary roots
@@ -55,14 +55,11 @@ class BidiskStabilityReport:
     witness: tuple[complex, complex] | None
 
     def to_dict(self) -> dict:
-        w = None
-        if self.witness is not None:
-            w = [[self.witness[0].real, self.witness[0].imag],
-                 [self.witness[1].real, self.witness[1].imag]]
         return {
             "has_zero_in_open_bidisk": self.has_zero_in_open_bidisk,
             "has_zero_on_closed_bidisk": self.has_zero_on_closed_bidisk,
-            "witness": w,
+            "witness": None if self.witness is None
+            else [complex_to_pair(z) for z in self.witness],
         }
 
 
@@ -83,12 +80,11 @@ class TorusZeroSet:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind.value,
-            "points": [[[p[0].real, p[0].imag], [p[1].real, p[1].imag]]
-                       for p in self.points],
+            "points": [[complex_to_pair(z) for z in p] for p in self.points],
             "symmetry": None if self.symmetry is None else {
                 "matches": self.symmetry.matches,
                 "lambda": None if self.symmetry.lam is None
-                else [self.symmetry.lam.real, self.symmetry.lam.imag],
+                else complex_to_pair(self.symmetry.lam),
                 "residual": self.symmetry.residual,
             },
             "axis_aligned": self.axis_aligned,

@@ -48,6 +48,12 @@ def from_terms(terms: dict) -> Poly2:
     return Poly2(a)
 
 
+def f_eps(eps: float) -> Poly2:
+    """z2 (1 + eps z1^5) - z1 (z1^5 + eps): its torus curve is the line
+    m = 6t up to a bend of order eps."""
+    return from_terms({(0, 1): 1.0, (5, 1): eps, (6, 0): -1.0, (1, 0): -eps})
+
+
 def closed_form_branch_fa(a: float, t_window: tuple[float, float] = (0.0, TWO_PI),
                           nodes: int = 512) -> CurveBranch:
     """Branch of Z(f_a) with closed-form m and derivatives, for real a in (0,1).

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from bicyclic.capacity import (TrendVerdict, _lattice_values, cofactor_experiment, decay_fit,
-                               fourier_coefficients, make_bump_measure,
-                               make_uniform_measure, noncyclicity_certificate,
-                               riesz_energy, trend_verdict)
+from bicyclic.capacity import (TrendVerdict, _lattice_values, branch_measure,
+                               cofactor_experiment, decay_fit, fourier_coefficients,
+                               make_bump_measure, make_uniform_measure,
+                               noncyclicity_certificate, riesz_energy, trend_verdict)
 from bicyclic.classifier import classify
-from bicyclic.curvegeom import fa_poly, trace_branch
+from bicyclic.curvegeom import curve_type_at, fa_poly, trace_branch
 from bicyclic.poly2 import Poly2
-from conftest import closed_form_branch_fa
+from conftest import closed_form_branch_fa, f_eps
 
 TWO_PI = 2 * np.pi
 
@@ -202,6 +202,33 @@ class TestTrendVerdict:
         assert trend_verdict(s) is TrendVerdict.INCONCLUSIVE
 
 
+class TestBranchMeasure:
+    def test_near_line_without_type_two_is_uniform(self):
+        # the line fit calls this branch straight although |m''| reaches
+        # 7.5e-7, so no node has type 2
+        mu = branch_measure(f_eps(1.5e-8), 64)
+        assert mu.profile == "uniform"
+
+    def test_near_line_with_type_two_is_bump(self):
+        mu = branch_measure(f_eps(3e-8), 64)
+        assert mu.profile == "bump"
+        center = float(mu.branch.t[np.argmax(mu.psi)])
+        assert curve_type_at(mu.branch, center).tau == 2
+
+    @pytest.mark.parametrize("f", [
+        Poly2([[1, 0], [0, 1]]), Poly2([[1, 0], [0, -1]]), Poly2([[1, -1]]),
+        fa_poly(1e-8), fa_poly(0.25), fa_poly(0.5), fa_poly(0.75),
+        f_eps(1e-8), f_eps(1.5e-8), f_eps(3e-8),
+    ], ids=["1+z1z2", "1-z1z2", "1-z2", "f_1e-8", "f_0.25", "f_0.5", "f_0.75",
+            "f_eps_1e-8", "f_eps_1.5e-8", "f_eps_3e-8"])
+    def test_bump_exactly_when_steepest_bend_has_type_two(self, f):
+        mu = branch_measure(f, 64)
+        br = mu.branch
+        tau = curve_type_at(br, float(br.t[np.argmax(np.abs(br.d2m))])).tau
+        assert (mu.profile == "bump") == (tau == 2)
+        assert branch_measure(f, 64, uniform=True).profile == "uniform"
+
+
 class TestCertificate:
     def test_fa_above_threshold(self):
         rep = noncyclicity_certificate(fa_poly(0.5), 0.6, K=64)
@@ -282,6 +309,13 @@ class TestCofactor:
         for f in polys:
             err = np.abs(_lattice_values(f, w) - lattice_values(f, grid)).max()
             assert err <= 1e-13 * f.scale
+
+    def test_zeros_read_once(self, two_minus):
+        # the zeros are read twice, so a one-pass iterable must be listed first
+        listed = cofactor_experiment(two_minus, [(1, 1)], 1, 1, 256)
+        once = cofactor_experiment(two_minus, (z for z in [(1, 1)]), 1, 1, 256)
+        assert once == listed
+        assert once.sup_norm == pytest.approx(1.0)
 
     def test_unexplained_zero_rejected(self, two_minus):
         with pytest.raises(ValueError, match="away from"):

@@ -5,6 +5,7 @@ import pytest
 
 from bicyclic.cli import EXIT_NUMERICAL, _build_parser, run
 from bicyclic.poly2 import Poly2
+from conftest import f_eps
 
 
 def write_poly(path, grid):
@@ -128,6 +129,15 @@ class TestPipelines:
     def test_certificate(self, tmp_path, f0_file):
         assert run(["--out", str(tmp_path / "o"), "certificate", "--poly", f0_file,
                     "--alpha", "0.75", "--K", "64"]) == 0
+
+    def test_certificate_on_a_near_line(self, tmp_path):
+        # no node of this nearly straight branch has type 2: a uniform
+        # measure, not an error
+        path = write_poly(tmp_path / "f.json", f_eps(1.5e-8).coeffs)
+        assert run(["--out", str(tmp_path / "o"), "certificate", "--poly", path,
+                    "--alpha", "0.75"]) == 0
+        doc = json.loads((tmp_path / "o" / "certificate.json").read_text())
+        assert doc["report"]["verdict"] == "ConvergentTrend"
 
     def test_cofactor(self, tmp_path, finite_file):
         assert run(["--out", str(tmp_path / "o"), "cofactor", "--poly", finite_file,

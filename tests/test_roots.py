@@ -1,15 +1,19 @@
-"""The flat circle-slice root solve against the per-row code it replaced.
+"""The root solves, interpolation and line fit against the code they replaced.
 
 `per_row_batched_roots` and `per_row_slice_roots` are the earlier
 implementations of `_roots.batched_roots` and
 `poly2.unimodular_slice_roots`: one `np.nonzero` per row for the effective
-degree, one scalar division per degree-1 row, and one array per slice.  The
-flat versions must give the same roots bit for bit, in the same order.
+degree, one scalar division per degree-1 row, and one array per slice.
+`trimmed_roots_low_first`, `fft_interpolation` and `lstsq_line` are the
+earlier single-polynomial solve, the inline interpolation of the resultant
+and of det P, and the inline least-squares lines.  The current versions must
+give the same results bit for bit, in the same order.
 """
 import numpy as np
 import pytest
 
-from bicyclic._roots import RELATIVE_COEFF_FLOOR, _companion_stack, batched_roots
+from bicyclic._roots import (RELATIVE_COEFF_FLOOR, _companion_stack, batched_roots,
+                             interpolate_roots_of_unity, line_fit, roots_low_first)
 from bicyclic.poly2 import CIRCLE_BAND, Poly2, slice_rows, unimodular_slice_roots
 
 
@@ -44,6 +48,44 @@ def per_row_batched_roots(coeff_rows):
             for i, s in enumerate(rows):
                 out[s] = eigs[i]
     return out
+
+
+def trim_trailing(c, rel):
+    """Drop trailing coefficients below rel * max|c|; zero poly -> [0]."""
+    c = np.atleast_1d(np.asarray(c, dtype=complex))
+    mags = np.abs(c)
+    top = mags.max() if c.size else 0.0
+    if top == 0.0:
+        return np.zeros(1, dtype=complex)
+    keep = np.nonzero(mags > rel * top)[0]
+    if keep.size == 0:
+        return np.zeros(1, dtype=complex)
+    return c[: keep[-1] + 1].copy()
+
+
+def trimmed_roots_low_first(c):
+    """Oracle: trim at RELATIVE_COEFF_FLOOR, then one companion solve."""
+    c = trim_trailing(c, RELATIVE_COEFF_FLOOR)
+    d = c.size - 1
+    if d <= 0:
+        return np.zeros(0, dtype=complex)
+    if d == 1:
+        return np.array([-c[0] / c[1]])
+    tail = (c[:-1] / c[-1])[None, :]
+    return np.linalg.eigvals(_companion_stack(tail))[0]
+
+
+def fft_interpolation(values):
+    """Oracle: the inline inverse DFT and trim of the interpolating callers."""
+    S = values.size
+    return trim_trailing(np.fft.fft(values) / S, 1e-11)
+
+
+def lstsq_line(x, y):
+    """Oracle: the inline least-squares line of the fitting callers."""
+    A = np.vstack([x, np.ones_like(x)]).T
+    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return float(sol[0]), float(sol[1]), A @ sol - y
 
 
 def per_row_slice_roots(f, z1s):
@@ -153,3 +195,54 @@ class TestUnimodularSliceRoots:
         roots, which, vanishing = assert_slices_match(Poly2([[1], [2]]),
                                                       np.exp(1j * np.arange(3.0)))
         assert roots.size == 0 and not vanishing.any()
+
+
+class TestRootsLowFirst:
+    def test_matches_trimmed_solve(self, rng):
+        # mixed degrees, trailing coefficients cut by zeros, below the floor
+        # and above it, and all-zero rows
+        for tiny in (0.0, 1e-14, 1e-12):
+            for c in ragged(rng, 120, 29, rng.integers(0, 30, 120), tiny=tiny):
+                c = c[: rng.integers(1, 31)]
+                got, ref = roots_low_first(c), trimmed_roots_low_first(c)
+                assert got.shape == ref.shape and np.array_equal(got, ref)
+        for c in (np.zeros(1), np.zeros(4), np.array([3.0]), np.array([1.0, 2.0])):
+            assert np.array_equal(roots_low_first(c), trimmed_roots_low_first(c))
+
+    def test_one_row_of_the_batch(self, rng):
+        C = ragged(rng, 20, 6, rng.integers(0, 7, 20))
+        C[4] = 0.0
+        for c, row in zip(C, batched_roots(C)):
+            got = roots_low_first(c)
+            assert np.array_equal(got, row[: got.size])
+            assert np.isnan(row[got.size:]).all()
+
+
+class TestInterpolation:
+    def test_matches_inline_fft(self, rng):
+        for S in range(1, 31):
+            # values of a polynomial of degree below S at the S-th roots of
+            # unity, whose top coefficients come back at roundoff size
+            d = int(rng.integers(0, S))
+            c = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+            nodes = np.exp(2j * np.pi * np.arange(S) / S)
+            for values in (np.polynomial.polynomial.polyval(nodes, c),
+                           rng.standard_normal(S) + 1j * rng.standard_normal(S),
+                           np.zeros(S, dtype=complex)):
+                got, ref = interpolate_roots_of_unity(values), fft_interpolation(values)
+                assert got.shape == ref.shape and np.array_equal(got, ref)
+
+    def test_recovers_the_polynomial(self):
+        nodes = np.exp(2j * np.pi * np.arange(8) / 8)
+        got = interpolate_roots_of_unity(2 - 3 * nodes + nodes ** 3)
+        assert got.size == 4
+        assert np.allclose(got, [2, -3, 0, 1], atol=1e-14)
+
+
+class TestLineFit:
+    def test_matches_inline_lstsq(self, rng):
+        for n in (2, 3, 5, 64):
+            x = np.sort(rng.uniform(0.0, 7.0, n))
+            for y in (rng.standard_normal(n), 0.5 * x - 2.0, np.zeros(n)):
+                got, ref = line_fit(x, y), lstsq_line(x, y)
+                assert got[:2] == ref[:2] and np.array_equal(got[2], ref[2])

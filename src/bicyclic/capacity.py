@@ -10,6 +10,7 @@ they are statements about truncations, never about the infinite series.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,12 @@ from .stability import TorusZeroKind, torus_zero_classification
 CONVERGENT_RATIO = 0.9       # increment ratio below which the trend is convergent
 DIVERGENT_RATIO = 0.98       # increment ratio above which increments count as non-decreasing
 NEGLIGIBLE_INCREMENT = 1e-12
+_LATTICE_BLOCK_ROWS = 64     # lattice rows per block of the cofactor experiment
+
+
+def _check_K(K: int, least: int) -> None:
+    if K < least:
+        raise ValueError(f"K must be at least {least}, got K = {K}")
 
 
 class TrendVerdict(enum.Enum):
@@ -114,25 +121,39 @@ class FourierTable:
         return np.abs(self.coeffs)
 
 
+def _phase_powers(x: np.ndarray, K: int) -> np.ndarray:
+    """exp(-i k x) for k = 0..K as rows, by baby-step/giant-step.
+
+    With s = isqrt(K + 1), row k is giant[k // s] * baby[k % s], where
+    baby[r] = exp(-i r x) and giant[j] = exp(-i j s x): about 2 sqrt(K)
+    rows of exp instead of K + 1, and row 0 is exactly 1.
+    """
+    s = math.isqrt(K + 1)
+    baby = np.exp(-1j * np.outer(np.arange(s), x))
+    giant = np.exp(-1j * np.outer(np.arange(0, K + 1, s), x))
+    return (giant[:, None, :] * baby[None, :, :]).reshape(-1, x.size)[: K + 1]
+
+
 def fourier_coefficients(mu: CurveMeasure, K: int) -> FourierTable:
     """mu_hat(k,l) = integral exp(-i(k t + l m(t))) psi(t) dt by trapezoid.
 
-    Requires at least 8K branch nodes to keep the highest requested mode
-    well resolved.  The sum runs over the nodes where psi is nonzero, since
-    the others add exact zeros: a bump pays only for its support, a uniform
-    measure for every node.  psi is real, so mu_hat(-k,-l) = conj(mu_hat(k,l)):
-    only the rows k >= 0 are summed, the exponentials of the negative
-    frequencies are the conjugates of the positive ones, the rows k < 0 are
-    filled by conjugation and row 0 is symmetrized, so the symmetry holds
-    exactly.
+    Requires K >= 0 and at least 8K branch nodes to keep the highest
+    requested mode well resolved.  The sum runs over the nodes where psi is
+    nonzero, since the others add exact zeros: a bump pays only for its
+    support, a uniform measure for every node.  psi is real, so
+    mu_hat(-k,-l) = conj(mu_hat(k,l)): only the rows k >= 0 are summed, the
+    exponentials of the negative frequencies are the conjugates of the
+    positive ones, the rows k < 0 are filled by conjugation and row 0 is
+    symmetrized, so the symmetry holds exactly.  The exponentials come from
+    `_phase_powers`.
     """
+    _check_K(K, 0)
     branch = mu.branch
     if branch.t.size < 8 * K:
         raise ValueError(f"branch resolution {branch.t.size} too low for K = {K}")
     support = np.flatnonzero(mu.psi)
-    ks = np.arange(K + 1)
-    E1 = np.exp(-1j * np.outer(ks, branch.t[support]))    # (K+1, support size)
-    E2 = np.exp(-1j * np.outer(ks, branch.m[support]))
+    E1 = _phase_powers(branch.t[support], K)               # (K+1, support size)
+    E2 = _phase_powers(branch.m[support], K)
     E2 = np.concatenate([np.conj(E2[:0:-1]), E2])          # l = -K..K
     table = np.empty((2 * K + 1, 2 * K + 1), dtype=complex)
     top = table[K:]
@@ -266,6 +287,7 @@ def branch_measure(f: Poly2, K: int, uniform: bool = False) -> CurveMeasure:
     branch, so then no node has type 2 (as on a straight line in the torus,
     whose coefficients lie on one frequency line).
     """
+    _check_K(K, 0)
     branch = trace_branch(f, (0.0, TWO_PI), max(8 * K, 1024))
     if uniform:
         return make_uniform_measure(branch)
@@ -292,10 +314,11 @@ def noncyclicity_certificate(f: Poly2, alpha: float, K: int = 128) -> EnergyRepo
     certificate only has force for alpha > 1/2 (below that threshold the
     energy diverges for every such measure and the verdict says so).  It is
     attached as evidence and never used to overturn the classification.
-    The energy is summed to the cutoffs K/8, K/4, K/2 and K.
+    The energy is summed to the cutoffs K/8, K/4, K/2 and K, so K >= 8.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
+    _check_K(K, 8)
     tz = torus_zero_classification(f, stability_check=False)
     if tz.kind is not TorusZeroKind.CURVE:
         raise ValueError("certificate requires a torus zero curve")
@@ -329,12 +352,16 @@ class CofactorReport:
         }
 
 
+def _root_powers(w: np.ndarray, degree: int) -> np.ndarray:
+    """V[i, k] = w[i]^k = w[i k mod grid] for k = 0..degree, read from the
+    one table of the grid's roots of unity w."""
+    return w[np.arange(w.size)[:, None] * np.arange(degree + 1) % w.size]
+
+
 def _lattice_values(f: Poly2, w: np.ndarray) -> np.ndarray:
-    """f(w[i], w[j]) over the roots of unity w[i] = exp(2 pi i / grid)."""
-    grid = w.size
-    powers = np.arange(grid)[:, None]
+    """f(w[i], w[j]) over the roots of unity w[k] = exp(2 pi i k / grid)."""
     n, m = f.bidegree
-    return w[powers * np.arange(n + 1) % grid] @ f.coeffs @ w[powers * np.arange(m + 1) % grid].T
+    return _root_powers(w, n) @ f.coeffs @ _root_powers(w, m).T
 
 
 def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int) -> CofactorReport:
@@ -345,37 +372,46 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int) -> CofactorR
     (set to zero at the zeros of f), transformed, and the weighted sums
     sum |Q_hat(k,l)|^2 (k+1)^b (l+1)^b over k, l >= 0 are reported at the
     nested cutoffs grid/8, grid/4 and grid/2 - 1 for b in {1, 2}.  With w the
-    grid's roots of unity, f on the lattice is V1 a V2^T with
-    V[i, k] = w^(i k mod grid) read from the one table of w, and Q0, one
-    factor per variable, is the outer product of two products over w.
+    grid's roots of unity, f on the lattice is V1 a V2^T (`_root_powers`)
+    and Q0, one factor per variable, is the outer product of two products
+    over w.  The lattice is built in blocks of _LATTICE_BLOCK_ROWS rows: each
+    block is tested for zeros, divided, and put through the first FFT pass,
+    of which only the columns up to the largest cutoff are kept.
     """
     if grid < 256 or grid & (grid - 1):
         raise ValueError("grid must be a power of two, at least 256")
     zeros = list(zeros)     # read twice below, so a one-pass iterable would run dry
     w = np.exp(1j * TWO_PI * np.arange(grid) / grid)
-    fv = _lattice_values(f, w)
+    n, m = f.bidegree
+    V1, V2 = _root_powers(w, n), _root_powers(w, m)
 
     zeta = np.asarray(zeros, dtype=complex).reshape(-1, 2)
     a = np.prod(w[:, None] - zeta[:, 0], axis=1) ** q
     b = np.prod(w[:, None] - zeta[:, 1], axis=1) ** q
-    q0v = np.outer(a ** N, b ** N)
-
-    tiny = np.abs(fv) <= ZERO_VALUE_TOL * f.scale
-    if tiny.any():
-        for i, j in zip(*np.nonzero(tiny)):
-            p1, p2 = w[i], w[j]
-            if not any(abs(p1 - z1) + abs(p2 - z2) < SAME_POINT_TOL for (z1, z2) in zeros):
-                raise ValueError(
-                    f"f vanishes on the lattice at ({p1:.6g}, {p2:.6g}) away from "
-                    "the supplied zeros")
-    qv = np.divide(q0v, fv, out=np.zeros_like(fv), where=~tiny)
-    sup = float(np.abs(qv).max())
+    aN, bN = a ** N, b ** N
 
     cutoffs = [grid // 8, grid // 4, grid // 2 - 1]
-
-    # fft2's two passes (last axis first), each kept to the modes k, l <= kmax
     kmax = cutoffs[-1]
-    qhat = np.fft.fft(np.fft.fft(qv, axis=1)[:, : kmax + 1], axis=0)[: kmax + 1]
+    # fft2's first pass (last axis), kept to the modes l <= kmax
+    cols = np.empty((grid, kmax + 1), dtype=complex)
+    block_sups = []
+    for start in range(0, grid, _LATTICE_BLOCK_ROWS):
+        rows = slice(start, start + _LATTICE_BLOCK_ROWS)
+        fv = (V1[rows] @ f.coeffs) @ V2.T
+        tiny = np.abs(fv) <= ZERO_VALUE_TOL * f.scale
+        if tiny.any():
+            for i, j in zip(*np.nonzero(tiny)):
+                p1, p2 = w[start + i], w[j]
+                if not any(abs(p1 - z1) + abs(p2 - z2) < SAME_POINT_TOL for (z1, z2) in zeros):
+                    raise ValueError(
+                        f"f vanishes on the lattice at ({p1:.6g}, {p2:.6g}) away from "
+                        "the supplied zeros")
+        qv = np.divide(np.outer(aN[rows], bN), fv, out=np.zeros_like(fv), where=~tiny)
+        block_sups.append(np.abs(qv).max())
+        cols[rows] = np.fft.fft(qv, axis=1)[:, : kmax + 1]
+
+    # the second pass, kept to the modes k <= kmax
+    qhat = np.fft.fft(cols, axis=0)[: kmax + 1]
     block = np.abs(qhat / (grid * grid)) ** 2
     sums: dict = {}
     verdicts: dict = {}
@@ -386,4 +422,5 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int) -> CofactorR
         sums[beta] = per_cut
         verdicts[beta] = trend_verdict(per_cut)
     return CofactorReport(q=q, N=N, grid=grid, cutoffs=tuple(cutoffs),
-                          weighted_sums=sums, verdicts=verdicts, sup_norm=sup)
+                          weighted_sums=sums, verdicts=verdicts,
+                          sup_norm=float(np.max(block_sups)))

@@ -1,13 +1,16 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bicyclic.capacity import (TrendVerdict, _lattice_values, branch_measure,
-                               cofactor_experiment, decay_fit, fourier_coefficients,
-                               make_bump_measure, make_uniform_measure,
+from bicyclic.capacity import (FourierTable, TrendVerdict, _lattice_values, _phase_powers,
+                               branch_measure, cofactor_experiment, decay_fit,
+                               fourier_coefficients, make_bump_measure, make_uniform_measure,
                                noncyclicity_certificate, riesz_energy, trend_verdict)
 from bicyclic.classifier import classify
 from bicyclic.curvegeom import curve_type_at, fa_poly, trace_branch
-from bicyclic.poly2 import Poly2
+from bicyclic.poly2 import SAME_POINT_TOL, ZERO_VALUE_TOL, Poly2
 from conftest import closed_form_branch_fa, f_eps
 
 TWO_PI = 2 * np.pi
@@ -39,6 +42,66 @@ def dense_fourier_oracle(mu, K):
     E2 = np.exp(-1j * np.outer(ks, br.m))
     table = (E1 * (mu.psi * br.spacing)[None, :]) @ E2.T
     return 0.5 * (table + np.conj(table[::-1, ::-1]))
+
+
+def direct_exp_fourier_oracle(mu, K):
+    """The support sum with one exp per table entry, as before the phases
+    came from `_phase_powers`."""
+    br = mu.branch
+    support = np.flatnonzero(mu.psi)
+    ks = np.arange(K + 1)
+    E1 = np.exp(-1j * np.outer(ks, br.t[support]))
+    E2 = np.exp(-1j * np.outer(ks, br.m[support]))
+    E2 = np.concatenate([np.conj(E2[:0:-1]), E2])
+    table = np.empty((2 * K + 1, 2 * K + 1), dtype=complex)
+    top = table[K:]
+    np.matmul(E1 * (mu.psi[support] * br.spacing)[None, :], E2.T, out=top)
+    top[0] = 0.5 * (top[0] + np.conj(top[0, ::-1]))
+    table[:K] = np.conj(top[:0:-1, ::-1])
+    return table
+
+
+def extended_fourier_reference(mu, K, chunk=32):
+    """Rows k >= 0 of the table with clongdouble phases and weights.
+
+    Each factor is split as hi + lo in complex128; the hi @ hi product is
+    summed over chunks of 32 nodes into a clongdouble accumulator, so its
+    rounding is that of a 32-term sum of terms no larger than their weights,
+    and the hi @ lo cross terms are far below the tested errors.
+    """
+    br = mu.branch
+    support = np.flatnonzero(mu.psi)
+    ks = np.arange(K + 1, dtype=np.longdouble)
+
+    def phases(x):
+        angle = np.outer(ks, x.astype(np.longdouble))
+        return np.cos(angle) - 1j * np.sin(angle)
+
+    weights = mu.psi[support].astype(np.longdouble) * np.longdouble(br.spacing)
+    E1 = phases(br.t[support]) * weights[None, :]
+    E2 = phases(br.m[support])
+    E2 = np.concatenate([np.conj(E2[:0:-1]), E2])
+    A, B = E1.astype(complex), E2.astype(complex)
+    a, b = (E1 - A).astype(complex), (E2 - B).astype(complex)
+    acc = np.zeros((K + 1, 2 * K + 1), dtype=np.clongdouble)
+    for j in range(0, support.size, chunk):
+        acc += A[:, j:j + chunk] @ B[:, j:j + chunk].T
+    return acc + (A @ b.T + a @ B.T)
+
+
+ACCURACY_INPUTS = {
+    "f_0.5-K128": (lambda: fa_poly(0.5), 128),
+    "f_0.4-K256": (lambda: fa_poly(0.4), 256),
+    "f_0.77-K256": (lambda: fa_poly(0.77), 256),
+    "1+z1z2-K128": (lambda: Poly2([[1, 0], [0, 1]]), 128),
+    "1-z1z2-K256": (lambda: Poly2([[1, 0], [0, -1]]), 256),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def accuracy_case(name):
+    make, K = ACCURACY_INPUTS[name]
+    return branch_measure(make(), K), K
 
 
 MEASURE_KINDS = ["closed-form bump", "narrow traced bump", "uniform"]
@@ -96,6 +159,14 @@ class TestFourierCoefficients:
         with pytest.raises(ValueError, match="resolution"):
             fourier_coefficients(make_uniform_measure(br), 64)
 
+    def test_negative_K_named(self):
+        mu = oracle_measure("uniform")
+        with pytest.raises(ValueError, match="^K must be at least 0, got K = -1$"):
+            fourier_coefficients(mu, -1)
+        with pytest.raises(ValueError, match="^K must be at least 0, got K = -3$"):
+            branch_measure(Poly2([[1, 0], [0, 1]]), -3)
+        assert fourier_coefficients(mu, 0).coeffs.shape == (1, 1)
+
     def test_bump_profile_properties(self):
         cf = closed_form_branch_fa(0.5, (0.0, TWO_PI), 2048)
         mu = make_bump_measure(cf, np.pi / 2, 0.9)
@@ -119,6 +190,50 @@ class TestFourierCoefficients:
         for l in (-5, 0, 7):
             for k in (-3, 1, 9):
                 assert abs(tab.get(k, l) - tab.get(k, 0)) <= 1e-12
+
+
+class TestPhasePowers:
+    @pytest.mark.parametrize("K", [0, 1, 2, 3, 8, 15, 24, 100, 255])
+    def test_rows_match_direct_exp(self, K):
+        x = np.linspace(-7.0, 13.0, 37)
+        got = _phase_powers(x, K)
+        assert got.shape == (K + 1, x.size)
+        expect = np.exp(-1j * np.outer(np.arange(K + 1), x))
+        # both round the phase k x, so they differ by a few eps * k |x|
+        bound = 4 * np.finfo(float).eps * max(K, 1) * np.abs(x).max()
+        assert np.abs(got - expect).max() <= bound
+        assert np.all(got[0] == 1.0)
+
+    @pytest.mark.parametrize("name", list(ACCURACY_INPUTS))
+    def test_row_zero_exactly_one(self, name):
+        mu, K = accuracy_case(name)
+        support = np.flatnonzero(mu.psi)
+        for x in (mu.branch.t[support], mu.branch.m[support]):
+            assert np.all(_phase_powers(x, K)[0] == 1.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="the reference needs an extended-precision long double")
+    @pytest.mark.parametrize("name", list(ACCURACY_INPUTS))
+    def test_table_error_within_bound_and_oracle(self, name):
+        # against an extended-precision reference, the table is within
+        # 3e-14 of its largest entry and no worse than one exp per entry
+        mu, K = accuracy_case(name)
+        ref = extended_fourier_reference(mu, K)
+        scale = float(np.abs(ref).max())
+        got = float(np.abs(fourier_coefficients(mu, K).coeffs[K:] - ref).max()) / scale
+        oracle = float(np.abs(direct_exp_fourier_oracle(mu, K)[K:] - ref).max()) / scale
+        assert got <= 3e-14
+        assert got <= oracle
+
+    @pytest.mark.parametrize("name", list(ACCURACY_INPUTS))
+    def test_energy_partial_sums_match_oracle(self, name):
+        mu, K = accuracy_case(name)
+        cutoffs = [K // 8, K // 4, K // 2, K]
+        for alpha in (0.4, 0.75):
+            got = riesz_energy(fourier_coefficients(mu, K), alpha, cutoffs).partial_sums
+            oracle = riesz_energy(FourierTable(K, direct_exp_fourier_oracle(mu, K)),
+                                  alpha, cutoffs).partial_sums
+            assert np.allclose(got, oracle, rtol=1e-15, atol=0.0)
 
 
 class TestDecayFit:
@@ -242,9 +357,96 @@ class TestCertificate:
         rep = noncyclicity_certificate(f0, 0.4, K=64)
         assert rep.verdict is TrendVerdict.DIVERGENT
 
+    @pytest.mark.parametrize("K", [-1, 0, 4, 7])
+    def test_K_below_eight_named(self, f0, K):
+        with pytest.raises(ValueError, match=f"^K must be at least 8, got K = {K}$"):
+            noncyclicity_certificate(f0, 0.75, K=K)
+
+    def test_smallest_K(self, f0):
+        rep = noncyclicity_certificate(f0, 0.75, K=8)
+        assert rep.cutoffs == (1, 2, 4, 8)
+
     def test_requires_curve(self, two_minus):
         with pytest.raises(ValueError, match="curve"):
             noncyclicity_certificate(two_minus, 0.75, K=64)
+
+
+def whole_lattice_cofactor_oracle(f, zeros, q, N, grid):
+    """The cofactor experiment on the whole lattice at once, as before it
+    ran in row blocks: (weighted_sums, verdict values, sup_norm)."""
+    zeros = list(zeros)
+    w = np.exp(1j * TWO_PI * np.arange(grid) / grid)
+    fv = _lattice_values(f, w)
+    zeta = np.asarray(zeros, dtype=complex).reshape(-1, 2)
+    a = np.prod(w[:, None] - zeta[:, 0], axis=1) ** q
+    b = np.prod(w[:, None] - zeta[:, 1], axis=1) ** q
+    q0v = np.outer(a ** N, b ** N)
+    tiny = np.abs(fv) <= ZERO_VALUE_TOL * f.scale
+    for i, j in zip(*np.nonzero(tiny)):
+        p1, p2 = w[i], w[j]
+        if not any(abs(p1 - z1) + abs(p2 - z2) < SAME_POINT_TOL for (z1, z2) in zeros):
+            raise ValueError(f"f vanishes on the lattice at ({p1:.6g}, {p2:.6g}) away from "
+                             "the supplied zeros")
+    qv = np.divide(q0v, fv, out=np.zeros_like(fv), where=~tiny)
+    sup = float(np.abs(qv).max())
+    cutoffs = [grid // 8, grid // 4, grid // 2 - 1]
+    kmax = cutoffs[-1]
+    qhat = np.fft.fft(np.fft.fft(qv, axis=1)[:, : kmax + 1], axis=0)[: kmax + 1]
+    block = np.abs(qhat / (grid * grid)) ** 2
+    sums, verdicts = {}, {}
+    for beta in (1, 2):
+        wk = (np.arange(kmax + 1) + 1.0) ** beta
+        weighted = block * wk[:, None] * wk[None, :]
+        sums[beta] = [float(weighted[: c + 1, : c + 1].sum()) for c in cutoffs]
+        verdicts[beta] = trend_verdict(sums[beta]).value
+    return sums, verdicts, sup
+
+
+U_ROT, V_ROT = np.exp(0.3j), np.exp(-1.1j)
+CORNERS = [(s1 + 0j, s2 + 0j) for s1 in (1, -1) for s2 in (1, -1)]
+COFACTOR_INPUTS = {
+    "2-z1-z2-g256": (Poly2([[2, -1], [-1, 0]]), [(1 + 0j, 1 + 0j)], 256),
+    "2-z1-z2-g512": (Poly2([[2, -1], [-1, 0]]), [(1 + 0j, 1 + 0j)], 512),
+    "2-z1-z2-g1024": (Poly2([[2, -1], [-1, 0]]), [(1 + 0j, 1 + 0j)], 1024),
+    "2-z1^2-z2^2-corners": (Poly2([[2, 0, -1], [0, 0, 0], [-1, 0, 0]]), CORNERS, 512),
+    "rotated": (Poly2([[2, -V_ROT], [-U_ROT, 0]]), [(np.conj(U_ROT), np.conj(V_ROT))], 512),
+    "3+z1+z2-no-zeros": (Poly2([[3, 1], [1, 0]]), [], 256),
+}
+
+
+class TestCofactorRowBlocks:
+    @pytest.mark.parametrize("q", [1, 4])
+    @pytest.mark.parametrize("N", [1, 4])
+    @pytest.mark.parametrize("name", list(COFACTOR_INPUTS))
+    def test_bit_identical_to_whole_lattice(self, name, q, N):
+        f, zeros, grid = COFACTOR_INPUTS[name]
+        sums, verdicts, sup = whole_lattice_cofactor_oracle(f, zeros, q, N, grid)
+        report = cofactor_experiment(f, zeros, q, N, grid)
+        assert report.weighted_sums == sums
+        assert {b: v.value for b, v in report.verdicts.items()} == verdicts
+        assert report.sup_norm == sup
+
+    @pytest.mark.parametrize("dropped", range(5))
+    def test_same_error_for_a_missing_zero(self, dropped):
+        # each lattice corner left out of the zeros (or all of them) must be
+        # reported at the same first point, in the same words
+        f = Poly2([[2, 0, -1], [0, 0, 0], [-1, 0, 0]])
+        zeros = [z for k, z in enumerate(CORNERS) if k != dropped] if dropped < 4 else []
+        with pytest.raises(ValueError) as expect:
+            whole_lattice_cofactor_oracle(f, zeros, 1, 1, 256)
+        with pytest.raises(ValueError, match="away from") as got:
+            cofactor_experiment(f, zeros, 1, 1, 256)
+        assert str(got.value) == str(expect.value)
+
+    def test_peak_memory_at_grid_1024(self, two_minus):
+        # the whole-lattice form peaks above 70 MB under tracemalloc
+        tracemalloc.start()
+        try:
+            cofactor_experiment(two_minus, [(1 + 0j, 1 + 0j)], 1, 4, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestCofactor:

@@ -218,6 +218,19 @@ class TestErrors:
         assert problem in doc["error"]
         assert not (tmp_path / "o" / "detgen.json").exists()
 
+    @pytest.mark.parametrize("argv, problem", [
+        (["certificate", "--alpha", "0.75", "--K", "4"], "K must be at least 8, got K = 4"),
+        (["certificate", "--alpha", "0.75", "--K", "7"], "K must be at least 8, got K = 7"),
+        (["fourier", "--K", "-1"], "K must be at least 0, got K = -1"),
+        (["energy", "--alpha", "0.75", "--K", "-1"], "K must be at least 0, got K = -1"),
+    ], ids=["certificate-K4", "certificate-K7", "fourier-K-1", "energy-K-1"])
+    def test_K_out_of_range_named(self, tmp_path, f0_file, argv, problem):
+        # the error names K and its bound, not the cutoffs or an array shape
+        rc = run(["--out", str(tmp_path / "o"), argv[0], "--poly", f0_file, *argv[1:]])
+        assert rc == EXIT_NUMERICAL
+        doc = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert doc["error"] == problem
+
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

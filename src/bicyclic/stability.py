@@ -12,14 +12,21 @@ slice is self-inversive (f~ = lambda f); then M vanishes and Cohn's
 criterion (all roots on the circle iff the derivative's roots lie in the
 closed disk) gives the same test on the reflection of df/dz2.  On a
 zero-free f the smallest eigenvalue touches zero at the torus zeros.  Those
-touch points are the sign changes d < 0 -> d >= 0 of its slope, bracketed on
-the resultant-root angles and the quarter points of their arcs and refined
-by a vectorised ITP (interpolate-truncate-project) search, superlinear on a
-smooth slope and never taking more steps than bisection of the circle to
-TOUCH_WIDTH.  The torus points are the slice roots there from
-`poly2.unimodular_slice_roots` with |f| <= ZERO_VALUE_TOL * scale, points
-closer than SAME_POINT_TOL merged.  The torus classification is the empty /
-finite / curve trichotomy for an irreducible f.
+touch points are the sign changes d < 0 -> d >= 0 of its slope v* M' v,
+bracketed on the resultant-root angles and the quarter points of their arcs
+and refined by a vectorised ITP (interpolate-truncate-project) search,
+superlinear on a smooth slope and never taking more steps than bisection of
+the circle to TOUCH_WIDTH.  The search reads M from a table: the Toeplitz
+factors A, B are trigonometric polynomials in t, so M is one too,
+M(t) = sum_{d=-n..n} M_d e^{idt}, with the M_d built once per factor.  M at
+a batch of angles is then one matmul with the phases e^{idt}, and the exact
+derivative M'(t) comes from the same table and matmul with the weights i d.
+The eigenvalue tests against the rounding band stay on the product form,
+whose rounding the band covers.  The torus points are the slice roots at
+the touch points from `poly2.unimodular_slice_roots` with
+|f| <= ZERO_VALUE_TOL * scale, points closer than SAME_POINT_TOL merged.
+The torus classification is the empty / finite / curve trichotomy for an
+irreducible f.
 """
 from __future__ import annotations
 
@@ -37,7 +44,11 @@ from .poly2 import (SAME_POINT_TOL, SYMMETRY_TOL, ZERO_VALUE_TOL, Poly2,
 OPEN_MARGIN = 1e-7          # modulus band separating open from boundary roots
 
 # a Schur-Cohn eigenvalue below -_EIG_BAND * ||slice row||_1^2 is negative
-# beyond the rounding of the products that form M = A*A - B*B
+# beyond the rounding of the products that form M = A*A - B*B.  It does not
+# cover the table sum sum_d M_d e^{idt}, whose rounding scales with the
+# coefficients rather than the slice row (about 100 eps ||row||_1^2 at some
+# angles of the test families), so eigenvalue signs come from the product
+# form only
 _EIG_BAND = 64 * np.finfo(float).eps
 
 # the bracket width at which the search for a touch point stops: 2 pi / 2^48,
@@ -103,19 +114,53 @@ def _toeplitz_index(m: int) -> tuple[np.ndarray, np.ndarray]:
     return lower, lag
 
 
-def _schur_cohn(rows: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
-    """The form A*A' - B*B' of two (S, m+1) stacks of slice rows, where A, B
-    are the Toeplitz factors of `rows` and A', B' those of `other`; with one
-    stack, the Schur-Cohn matrices M = A*A - B*B."""
+def _schur_cohn(rows: np.ndarray) -> np.ndarray:
+    """The Schur-Cohn matrices M = A*A - B*B of an (S, m+1) stack of slice
+    rows, A and B their Toeplitz factors: the product form, whose rounding
+    _EIG_BAND covers."""
     m = rows.shape[-1] - 1
     lower, lag = _toeplitz_index(m)
+    A = np.where(lower, rows[:, lag], 0)
+    B = np.where(lower, np.conj(rows[:, m - lag]), 0)
+    return np.conj(np.swapaxes(A, 1, 2)) @ A - np.conj(np.swapaxes(B, 1, 2)) @ B
 
-    def factors(r):
-        return (np.where(lower, r[:, lag], 0),
-                np.where(lower, np.conj(r[:, m - lag]), 0))
 
-    (A, B), (A2, B2) = factors(rows), factors(rows if other is None else other)
-    return np.conj(np.swapaxes(A, 1, 2)) @ A2 - np.conj(np.swapaxes(B, 1, 2)) @ B2
+def _schur_cohn_table(a: np.ndarray) -> np.ndarray:
+    """The Schur-Cohn matrix of the circle slices of a scaled f as a
+    trigonometric matrix polynomial M(t) = sum_{d=-n..n} M_d e^{idt}: the
+    (2n+1, m, m) stack of the M_d.  The Toeplitz factors are
+    A(t) = sum_p A_p e^{ipt} and B(t) = sum_p B_p e^{-ipt}, where A_p, B_p
+    are those of coefficient row p, so that
+    M_d = sum_{q-p=d} A_p*A_q - sum_{p-q=d} B_p*B_q.  Both sums come from the
+    blocks K[p, q] = A_p*A_q - B_{n-p}*B_{n-q} of one Gram matrix."""
+    N, m = a.shape[0], a.shape[1] - 1
+    lower, lag = _toeplitz_index(m)
+    # C is the block row [A_0 ... A_n] stacked on [B_n ... B_0], read out
+    # of the grid with a zero column appended
+    padded = np.concatenate([a, np.zeros((N, 1))], axis=1)
+    A = np.where(lower, lag, m + 1)
+    B = np.where(lower, m - lag, m + 1)
+    C = np.concatenate([padded[:, A], np.conj(padded[::-1, B])], axis=1)
+    C = C.transpose(1, 0, 2).reshape(2 * m, N * m)
+    signs = np.repeat([1.0, -1.0], m)[:, None]
+    K = (np.conj(C.T) @ (signs * C)).reshape(N, m, N, m).transpose(0, 2, 1, 3)
+    # M_d sums the blocks with q - p = d: with p reversed and each block row
+    # padded to 2N blocks, rows read at a stride one block shorter put
+    # K[p, q] in column q - p + N - 1
+    skew = np.zeros((N, 2 * N, m, m), dtype=complex)
+    skew[:, :N] = K[::-1]
+    skew = skew.reshape(2 * N * N, m, m)[:N * (2 * N - 1)]
+    return skew.reshape(N, 2 * N - 1, m, m).sum(axis=0)
+
+
+def _table_at(table: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """M(t) and its exact derivative M'(t) = sum_d i d M_d e^{idt} at every
+    angle of ts, from the table in one matmul: shape (2, S, m, m)."""
+    n = table.shape[0] // 2
+    d = np.arange(-n, n + 1)
+    E = np.exp(1j * np.multiply.outer(ts, d))
+    out = np.concatenate([E, 1j * d * E]) @ table.reshape(2 * n + 1, -1)
+    return out.reshape((2, ts.size) + table.shape[1:])
 
 
 def _arc_points(angles: np.ndarray, fractions=(0.5,)) -> np.ndarray:
@@ -125,30 +170,31 @@ def _arc_points(angles: np.ndarray, fractions=(0.5,)) -> np.ndarray:
     return np.concatenate([((1 - q) * angles + q * nxt) % (2 * np.pi) for q in fractions])
 
 
-def _crossing_angles(a: np.ndarray):
-    """(sorted angles, count) of the roots of the z2-resultant of a scaled f
-    and the defect g = f~ - lambda f of its reflection match; None when
-    every circle slice is self-inversive (the match holds)."""
-    f = Poly2(a)
+def _crossing_angles(f: Poly2):
+    """The reflection match of f, with (sorted angles, count) of the roots
+    of the z2-resultant of f and the defect g = f~ - lambda f of that
+    match; None in place of the angles when every circle slice is
+    self-inversive (the match holds)."""
     match = unimodular_reflection_match(f)
     if match.matches:
-        return None
+        return match, None
     # Res(f, g) equals Res(f, f~) at equal degree, but stays far from the
     # zero test when f~ is close to a multiple of f
     res = sylvester_resultant_z2(f, Poly2(match.defect))
     if res.size == 1 and res[0] == 0:
         # M(t) has degree n in t: it vanishes iff it does at 2n+1 points
-        n = a.shape[0] - 1
-        rows = slice_rows(a, np.exp(2j * np.pi * np.arange(2 * n + 1) / (2 * n + 1)))
+        n = f.bidegree[0]
+        nodes = np.exp(2j * np.pi * np.arange(2 * n + 1) / (2 * n + 1))
+        rows = slice_rows(f.coeffs / f.scale, nodes)
         if np.abs(_schur_cohn(rows)).max() > SYMMETRY_TOL:
             raise ValueError(
                 "input not irreducible: f and its reflection share a factor "
                 "although the reflection is not a unimodular multiple of f")
-        return None
+        return match, None
     roots = roots_low_first(res)
     # with no crossing the circle is one arc; cut it at 0
     angles = np.sort(np.angle(roots) % (2 * np.pi)) if roots.size else np.zeros(1)
-    return angles, int(roots.size)
+    return match, (angles, int(roots.size))
 
 
 def _most_negative(a: np.ndarray, ts: np.ndarray) -> float | None:
@@ -162,18 +208,15 @@ def _most_negative(a: np.ndarray, ts: np.ndarray) -> float | None:
     return float(ts[np.flatnonzero(neg)[np.argmin(lam[neg])]])
 
 
-def _slopes(a: np.ndarray, da: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _slopes(table: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """lambda_min'(t) = v* M'(t) v, v the unit eigenvector of the smallest
-    eigenvalue of M(t); M' comes from the slice rows of da, the
-    t-derivative 1j k a_k of the coefficients."""
-    z1 = np.exp(1j * ts)
-    rows = slice_rows(a, z1)
-    X = _schur_cohn(slice_rows(da, z1), rows)
-    v = np.linalg.eigh(_schur_cohn(rows))[1][:, :, 0]
-    return 2 * np.einsum("si,sij,sj->s", np.conj(v), X, v).real
+    eigenvalue of M(t), with M and M' from the table."""
+    M, dM = _table_at(table, ts)
+    v = np.linalg.eigh(M)[1][:, :, 0]
+    return np.einsum("si,sij,sj->s", np.conj(v), dM, v).real
 
 
-def _touch_points(a: np.ndarray, angles: np.ndarray) -> np.ndarray:
+def _touch_points(table: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Local minima of lambda_min(t): the sign changes d < 0 -> d >= 0 of
     its slope d, bracketed on the angles and the quarter points of their
     arcs, and refined by a vectorised ITP search (interpolate, truncate,
@@ -189,8 +232,7 @@ def _touch_points(a: np.ndarray, angles: np.ndarray) -> np.ndarray:
     # the quarter points give a bracket also where a double crossing angle
     # leaves only the touch point itself and its antipode as samples
     ts = np.sort(np.concatenate([angles, _arc_points(angles, (0.25, 0.5, 0.75))]))
-    da = 1j * np.arange(a.shape[0])[:, None] * a
-    d = _slopes(a, da, ts)
+    d = _slopes(table, ts)
     starts = np.flatnonzero((d < 0) & (np.roll(d, -1) >= 0))
     lo, dlo = ts[starts], d[starts]
     hi, dhi = np.append(ts, ts[0] + 2 * np.pi)[starts + 1], np.roll(d, -1)[starts]
@@ -208,7 +250,7 @@ def _touch_points(a: np.ndarray, angles: np.ndarray) -> np.ndarray:
         x = np.where(delta <= np.abs(mid - falsi), falsi + sigma * delta, mid)
         radius = np.maximum(reach - width / 2, 0)
         x = np.where(np.abs(x - mid) <= radius, x, mid - sigma * radius)
-        y = _slopes(a, da, x)
+        y = _slopes(table, x)
         down = y < 0
         lo[k], dlo[k] = np.where(down, x, l), np.where(down, y, dl)
         hi[k], dhi[k] = np.where(down, h, x), np.where(down, dh, y)
@@ -256,24 +298,24 @@ def _slice_engine(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
     inner = rts[np.abs(rts) < 1.0 - OPEN_MARGIN]
     witness = (complex(inner[0]), 0j) if inner.size else None
 
-    crossing = _crossing_angles(a)
+    match, crossing = _crossing_angles(f)
     if crossing is None:
         # every slice is self-inversive: Cohn's criterion on the slices of
         # df/dz2, which passes at once when they are constant in z2
         h = f.partial_derivative(2).reflect()
-        hc = h.coeffs / h.scale
-        h_cross = _crossing_angles(hc) if h.bidegree[1] else None
-        t_neg = None if h_cross is None else _most_negative(hc, _arc_points(h_cross[0]))
+        h_cross = _crossing_angles(h)[1] if h.bidegree[1] else None
+        t_neg = None if h_cross is None else _most_negative(h.coeffs / h.scale,
+                                                            _arc_points(h_cross[0]))
         # a sample of the zero curve: the slice roots at z1 = 1
         points, vanishing = _torus_points(f, np.zeros(1))
-        torus = TorusZeroSet(TorusZeroKind.CURVE, symmetry=unimodular_reflection_match(f))
+        torus = TorusZeroSet(TorusZeroKind.CURVE, symmetry=match)
     else:
         angles, candidates = crossing
         t_neg = _most_negative(a, _arc_points(angles))
         # on a zero-free f every torus zero is a tangential contact, found as a
         # touch point; where f has open zeros, slice roots also cross the
         # circle transversally, at simple resultant roots
-        ts = _touch_points(a, angles)
+        ts = _touch_points(_schur_cohn_table(a), angles)
         if t_neg is not None:
             ts = np.concatenate([ts, angles])
         points, vanishing = _torus_points(f, ts)

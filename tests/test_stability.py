@@ -7,7 +7,7 @@ from bicyclic import stability
 from bicyclic.classifier import Threshold, classify
 from bicyclic.curvegeom import fa_poly
 from bicyclic.detrep import DetRep, polynomial_from_unitary, random_unitary
-from bicyclic.poly2 import Poly2
+from bicyclic.poly2 import Poly2, slice_rows
 from bicyclic.stability import (TorusZeroKind, bidisk_zero_scan,
                                 torus_zero_classification, zero_reports)
 
@@ -44,16 +44,34 @@ def bisection_touch_oracle(a, angles):
     same brackets as the engine's search: the reference for its
     interpolating steps."""
     ts = np.sort(np.concatenate([angles, stability._arc_points(angles, (0.25, 0.5, 0.75))]))
-    da = 1j * np.arange(a.shape[0])[:, None] * a
-    d = stability._slopes(a, da, ts)
+    table = stability._schur_cohn_table(a)
+    d = stability._slopes(table, ts)
     starts = np.flatnonzero((d < 0) & (np.roll(d, -1) >= 0))
     lo = ts[starts]
     hi = np.append(ts, ts[0] + 2 * np.pi)[starts + 1]
     for _ in range(60):
         mid = (lo + hi) / 2
-        down = stability._slopes(a, da, mid) < 0
+        down = stability._slopes(table, mid) < 0
         lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
     return (lo + hi) / 2
+
+
+def schur_cohn_direct(rows, other=None):
+    """The form A*A' - B*B' of two (S, m+1) stacks of slice rows, where A, B
+    are the Toeplitz factors of `rows` and A', B' those of `other`; with one
+    stack, the Schur-Cohn matrices M = A*A - B*B.  The oracle for the M and
+    M' that the engine reads from its table."""
+    m = rows.shape[-1] - 1
+    i, j = np.indices((m, m))
+    lower = i >= j
+    lag = np.where(lower, i - j, 0)
+
+    def factors(r):
+        return (np.where(lower, r[:, lag], 0),
+                np.where(lower, np.conj(r[:, m - lag]), 0))
+
+    (A, B), (A2, B2) = factors(rows), factors(rows if other is None else other)
+    return np.conj(np.swapaxes(A, 1, 2)) @ A2 - np.conj(np.swapaxes(B, 1, 2)) @ B2
 
 
 def two_minus_powers(k, d=0.0):
@@ -221,6 +239,29 @@ class TestTorusClassification:
         assert tz.symmetry.residual <= 1e-9 * f.scale
         assert tz.to_dict()["symmetry"]["matches"] is True
 
+    def test_curve_symmetry_is_the_deciding_match(self, monkeypatch):
+        # one reflection match per polynomial: the one that sent f down the
+        # curve route is the recorded symmetry, and the reflected df/dz2
+        # gets its own
+        from bicyclic.poly2 import unimodular_reflection_match
+        seen = []
+
+        def counted(g):
+            seen.append(g.coeffs)
+            return unimodular_reflection_match(g)
+
+        monkeypatch.setattr(stability, "unimodular_reflection_match", counted)
+        rng = np.random.default_rng(8)
+        f = polynomial_from_unitary(DetRep(1.0, random_unitary(4, rng), 2, 2))
+        tz = zero_reports(f)[1]
+        h = f.partial_derivative(2).reflect()
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], f.coeffs) and np.array_equal(seen[1], h.coeffs)
+        fresh = unimodular_reflection_match(f)
+        assert tz.kind is TorusZeroKind.CURVE
+        assert (tz.symmetry.matches, tz.symmetry.lam, tz.symmetry.residual) == \
+            (fresh.matches, fresh.lam, fresh.residual)
+
     def test_rotated_single_point(self):
         # rotate the zero of 2 - z1 - z2 off the lattice directions
         zeta = np.exp(0.37j)
@@ -329,9 +370,9 @@ class TestTouchSearch:
     def test_matches_bisection_oracle(self):
         for f in _touch_families():
             a = f.coeffs / f.scale
-            crossing = stability._crossing_angles(a)
+            crossing = stability._crossing_angles(f)[1]
             assert crossing is not None
-            ts = stability._touch_points(a, crossing[0])
+            ts = stability._touch_points(stability._schur_cohn_table(a), crossing[0])
             ref = bisection_touch_oracle(a, crossing[0])
             assert ts.shape == ref.shape
             assert np.abs(ts - ref).max(initial=0.0) <= 1e-13
@@ -375,3 +416,67 @@ class TestTouchSearch:
                     or abs(pts[0][0] - np.exp(-1j * th)) > 1e-10 or abs(pts[0][1] - 1) > 1e-10):
                 missed.append(th)
         assert not missed
+
+
+def _table_inputs():
+    """Random complex grids of bidegree (1,1)..(6,6), the touch families and
+    determinantal f(r z) at r in {0.9, 1, 1/0.9}."""
+    rng = np.random.default_rng(16)
+    polys = [Poly2(rng.standard_normal((n + 1, m + 1)) + 1j * rng.standard_normal((n + 1, m + 1)))
+             for n in range(1, 7) for m in range(1, 7)]
+    polys += _touch_families()
+    for size in range(2, 7):
+        n = int(rng.integers(1, size))
+        f = polynomial_from_unitary(DetRep(1.0, random_unitary(size, rng), n, size - n))
+        polys += [radial(f, r) for r in (0.9, 1.0, 1 / 0.9)]
+    return polys
+
+
+class TestSchurCohnTable:
+    """The table sum M(t) = sum_d M_d e^{idt} against the product form, at
+    16 random angles per input, relative to ||row(t)||_1^2.  Where the
+    slice rows are small against the coefficients their difference reaches
+    about 100 eps, beyond stability._EIG_BAND, so only the touch search
+    reads the table."""
+
+    @staticmethod
+    def _errors(f, rng):
+        a = f.coeffs / f.scale
+        ts = rng.uniform(0.0, 2 * np.pi, 16)
+        z1 = np.exp(1j * ts)
+        rows = slice_rows(a, z1)
+        M, dM = stability._table_at(stability._schur_cohn_table(a), ts)
+        # d/dt of A*A - B*B is 2 Herm(A'*A - B'*B), A' and B' from the rows
+        # of the t-derivative 1j k a_k of the coefficients
+        X = schur_cohn_direct(slice_rows(1j * np.arange(a.shape[0])[:, None] * a, z1), rows)
+        band = np.abs(rows).sum(axis=-1) ** 2
+        err = np.abs(M - schur_cohn_direct(rows)).max(axis=(1, 2)) / band
+        derr = np.abs(dM - X - np.conj(np.swapaxes(X, 1, 2))).max(axis=(1, 2)) / band
+        return err.max(), derr.max()
+
+    def test_matches_direct_form(self):
+        rng = np.random.default_rng(3)
+        for f in _table_inputs():
+            err, derr = self._errors(f, rng)
+            assert err <= 1e-13 and derr <= 1e-13
+
+    def test_built_once_per_factor(self, monkeypatch):
+        built = []
+        build = stability._schur_cohn_table
+
+        def counted(a):
+            built.append(a)
+            return build(a)
+
+        monkeypatch.setattr(stability, "_schur_cohn_table", counted)
+        # finite torus zeros, an open zero, a zero-free input: one table, of f
+        for f in (two_minus_powers(3), two_minus_powers(1, 1e-3), Poly2([[3, 1], [1, 0]])):
+            built.clear()
+            zero_reports(f)
+            assert len(built) == 1 and np.array_equal(built[0], f.coeffs / f.scale)
+        # self-inversive slices run no touch search, so they build none
+        U = random_unitary(4, np.random.default_rng(2))
+        for f in (fa_poly(0.5), polynomial_from_unitary(DetRep(1.0, U, 2, 2))):
+            built.clear()
+            zero_reports(f)
+            assert not built

@@ -175,12 +175,6 @@ class DecayFit:
     bound_statistic: float | None
     tau_claimed: float | None
 
-    def csv_rows(self) -> list[str]:
-        rows = ["shell_radius,shell_max"]
-        for r, v in zip(self.shell_radii, self.shell_maxima):
-            rows.append(f"{r!r},{v!r}")
-        return rows
-
 
 def decay_fit(table: FourierTable, shells: int,
               tau_claimed: float | None = None) -> DecayFit:
@@ -236,12 +230,6 @@ class EnergyReport:
             "trend_thresholds": {"convergent_ratio": CONVERGENT_RATIO,
                                  "divergent_ratio": DIVERGENT_RATIO},
         }
-
-    def csv_rows(self) -> list[str]:
-        rows = ["cutoff,partial_sum"]
-        for c, s in zip(self.cutoffs, self.partial_sums):
-            rows.append(f"{c},{s!r}")
-        return rows
 
 
 def riesz_energy(table: FourierTable, alpha: float, cutoffs) -> EnergyReport:
@@ -319,7 +307,7 @@ def noncyclicity_certificate(f: Poly2, alpha: float, K: int = 128) -> EnergyRepo
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     _check_K(K, 8)
-    tz = torus_zero_classification(f, stability_check=False)
+    tz = torus_zero_classification(f)
     if tz.kind is not TorusZeroKind.CURVE:
         raise ValueError("certificate requires a torus zero curve")
     table = fourier_coefficients(branch_measure(f, K), K)
@@ -356,12 +344,6 @@ def _root_powers(w: np.ndarray, degree: int) -> np.ndarray:
     """V[i, k] = w[i]^k = w[i k mod grid] for k = 0..degree, read from the
     one table of the grid's roots of unity w."""
     return w[np.arange(w.size)[:, None] * np.arange(degree + 1) % w.size]
-
-
-def _lattice_values(f: Poly2, w: np.ndarray) -> np.ndarray:
-    """f(w[i], w[j]) over the roots of unity w[k] = exp(2 pi i k / grid)."""
-    n, m = f.bidegree
-    return _root_powers(w, n) @ f.coeffs @ _root_powers(w, m).T
 
 
 def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int) -> CofactorReport:

@@ -1,19 +1,22 @@
 """Command-line front end: every pipeline as a subcommand with file outputs.
 
-All subcommands write JSON (sorted keys, so identical runs are byte
-identical) and CSV into the output directory.  The classify exit code
-encodes the verdict: 0 cyclic for all alpha, 3 cyclic iff alpha <= 1,
-4 cyclic iff alpha <= 1/2, 5 not cyclic for any alpha.  Usage errors exit
-with argparse's code 2; numerical failures write a structured JSON error
-and exit 70.
+Each subcommand returns its output files and `_write_outputs` writes them
+into the output directory: JSON with sorted keys under the run config
+(`_config`, which records input files by name and SHA-256, so identical
+runs from any checkout are byte identical) and CSV with every cell by one
+rule (`_cell`).  The classify exit code encodes the verdict: 0 cyclic for
+all alpha, 3 cyclic iff alpha <= 1, 4 cyclic iff alpha <= 1/2, 5 not
+cyclic for any alpha.  Usage errors exit with argparse's code 2; numerical
+failures write a structured JSON error and exit 70.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
+import itertools
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +25,10 @@ from .capacity import (branch_measure, cofactor_experiment, decay_fit,
                        fourier_coefficients, noncyclicity_certificate, riesz_energy)
 from .classifier import Threshold, classify, classify_with_evidence
 from .curvegeom import _centered_window, curve_type_at, fa_poly, trace_branch
-from .detrep import (DetRep, load_pair_dataset, polynomial_from_unitary,
-                     random_unitary)
-from .dirichlet import AlphaSpace, distance_profile, profile_csv_rows
-from .poly2 import Poly2, complex_from_pair, complex_to_pair
+from .detrep import (AglerPair, DetRep, load_pair_dataset, polynomial_from_unitary,
+                     random_unitary, unitary_from_pair)
+from .dirichlet import AlphaSpace, distance_profile
+from .poly2 import Poly2, complex_from_pair, complex_to_pair, normalize_symmetric
 from .stability import TorusZeroKind, torus_zero_classification, zero_reports
 
 EXIT_CODES = {
@@ -37,41 +40,59 @@ EXIT_CODES = {
 EXIT_NUMERICAL = 70
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: inputs, knobs, seed, and the output directory."""
+_INPUT_FILES = ("factors", "poly", "unitary")
 
-    subcommand: str
-    out_dir: Path
-    seed: int
-    options: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "seed": self.seed,
-            "options": self.options,
-        }
+def _file_record(path: str) -> dict:
+    """An input file by its name without the directory and the SHA-256 of
+    its bytes, so the record does not depend on where the file lies."""
+    p = Path(path)
+    return {"name": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+
+
+def _config(args) -> dict:
+    """The run config every JSON output carries: subcommand, seed and the
+    given options, input files as `_file_record`s."""
+    options = {}
+    for k, v in vars(args).items():
+        if k in ("subcommand", "out", "seed") or v is None:
+            continue
+        if k in _INPUT_FILES:
+            v = [_file_record(p) for p in v] if k == "factors" else _file_record(v)
+        options[k] = v
+    return {"subcommand": args.subcommand, "seed": args.seed, "options": options}
+
+
+def _cell(x) -> str:
+    """A CSV cell: strings and ints as they are, real numbers as repr(float(x))."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(x)
+    return repr(float(x))
 
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, rows) -> None:
-    path.write_text("\n".join(rows) + "\n")
+def _write_outputs(out_dir: Path, config: dict, files: dict) -> None:
+    """Write each named output file: a JSON document under the run config,
+    or a CSV table given as (header, rows), every cell by `_cell`."""
+    for name, content in files.items():
+        if name.endswith(".json"):
+            _write_json(out_dir / name, {"config": config, **content})
+        else:
+            header, rows = content
+            lines = [header] + [",".join(map(_cell, row)) for row in rows]
+            (out_dir / name).write_text("\n".join(lines) + "\n")
 
 
-def _write_polynomial(cfg: RunConfig, f: Poly2, **extra) -> None:
-    """detgen.json (config, polynomial, extra keys) and detgen.csv."""
-    doc = {"config": cfg.to_dict(), "polynomial": f.to_json_dict(), **extra}
-    _write_json(cfg.out_dir / "detgen.json", doc)
-    rows = ["k,l,re,im"]
-    for k in range(f.coeffs.shape[0]):
-        for l in range(f.coeffs.shape[1]):
-            c = f.coeffs[k, l]
-            rows.append(f"{k},{l},{c.real!r},{c.imag!r}")
-    _write_csv(cfg.out_dir / "detgen.csv", rows)
+def _polynomial_outputs(f: Poly2, **extra) -> dict:
+    """detgen.json (polynomial and extra keys) and detgen.csv."""
+    return {"detgen.json": {"polynomial": f.to_json_dict(), **extra},
+            "detgen.csv": ("k,l,re,im", [(k, l, c.real, c.imag)
+                                         for (k, l), c in np.ndenumerate(f.coeffs)])}
 
 
 def _load_poly(path: str) -> Poly2:
@@ -87,147 +108,132 @@ def _load_matrix(path: str) -> np.ndarray:
     return np.array([[complex_from_pair(c) for c in row] for row in raw])
 
 
-def _cmd_classify(cfg: RunConfig, args) -> int:
+# Each handler takes the parsed args and returns its exit code and its output
+# files, {name: JSON document or (CSV header, rows)}, for `_write_outputs`.
+
+def _cmd_classify(args) -> tuple[int, dict]:
     factors = [_load_poly(p) for p in args.factors]
     if args.alpha:
         verdict = classify_with_evidence(factors, args.alpha, args.caps)
     else:
         verdict = classify(factors)
-    doc = {"config": cfg.to_dict(), "verdict": verdict.to_dict()}
-    _write_json(cfg.out_dir / "verdict.json", doc)
-    rows = ["factor_index,threshold"]
-    for i, fa in enumerate(verdict.per_factor):
-        rows.append(f"{i},{fa.threshold.label}")
-    rows.append(f"combined,{verdict.threshold.label}")
-    _write_csv(cfg.out_dir / "verdict.csv", rows)
+    rows = [(i, fa.threshold.label) for i, fa in enumerate(verdict.per_factor)]
+    rows.append(("combined", verdict.threshold.label))
     print(f"verdict: {verdict.threshold.label}")
-    return EXIT_CODES[verdict.threshold]
+    return EXIT_CODES[verdict.threshold], {
+        "verdict.json": {"verdict": verdict.to_dict()},
+        "verdict.csv": ("factor_index,threshold", rows)}
 
 
-def _cmd_approximant(cfg: RunConfig, args) -> int:
+def _cmd_approximant(args) -> tuple[int, dict]:
     f = _load_poly(args.poly)
     space = AlphaSpace(args.alpha[0])
     profile = distance_profile(f, space, args.caps)
-    doc = {"config": cfg.to_dict(),
-           "alpha": space.alpha,
-           "profile": [r.to_dict() for r in profile]}
-    _write_json(cfg.out_dir / "approximant.json", doc)
-    _write_csv(cfg.out_dir / "approximant.csv", profile_csv_rows(profile))
     print(f"d_N: {[round(r.distance, 6) for r in profile]}")
-    return 0
+    return 0, {
+        "approximant.json": {"alpha": space.alpha, "profile": [r.to_dict() for r in profile]},
+        "approximant.csv": ("N,d_N,gram_condition",
+                            [(r.degree_cap, r.distance, r.gram_condition) for r in profile])}
 
 
-def _cmd_detgen(cfg: RunConfig, args) -> int:
+def _cmd_detgen(args) -> tuple[int, dict]:
     if args.dataset:
         entry = load_pair_dataset().get(args.dataset)
         if entry is None:
             raise ValueError(f"no dataset entry named {args.dataset!r}")
-        from .detrep import AglerPair, unitary_from_pair
-        from .poly2 import normalize_symmetric
         g, _ = normalize_symmetric(entry["f"])
         rep = unitary_from_pair(g, AglerPair(entry["P"], entry["Q"]))
         f = polynomial_from_unitary(rep)
-        _write_polynomial(cfg, f, dataset=args.dataset,
-                          unitary=[[complex_to_pair(c) for c in row] for row in rep.U])
         print(f"reconstructed {args.dataset}: bidegree {f.bidegree}")
-        return 0
+        return 0, _polynomial_outputs(
+            f, dataset=args.dataset,
+            unitary=[[complex_to_pair(c) for c in row] for row in rep.U])
     if not args.unitary or not args.size:
         raise ValueError("detgen needs either --dataset or both --size and --unitary")
     U = _load_matrix(args.unitary)
     rep = DetRep(complex(args.scale_re, args.scale_im), U, args.size[0], args.size[1])
     f = polynomial_from_unitary(rep)
-    _write_polynomial(cfg, f)
     print(f"generated polynomial of bidegree {f.bidegree}")
-    return 0
+    return 0, _polynomial_outputs(f)
 
 
-def _cmd_torus_zeros(cfg: RunConfig, args) -> int:
+def _cmd_torus_zeros(args) -> tuple[int, dict]:
     f = _load_poly(args.poly)
     scan, tz = zero_reports(f)
-    doc = {"config": cfg.to_dict(), "stability": scan.to_dict(),
-           "torus_zeros": tz.to_dict()}
-    _write_json(cfg.out_dir / "torus_zeros.json", doc)
-    rows = ["re_z1,im_z1,re_z2,im_z2"]
-    for p in tz.points:
-        rows.append(f"{p[0].real!r},{p[0].imag!r},{p[1].real!r},{p[1].imag!r}")
-    _write_csv(cfg.out_dir / "torus_zeros.csv", rows)
     print(f"torus zero set: {tz.kind.value}")
-    return 0
+    return 0, {
+        "torus_zeros.json": {"stability": scan.to_dict(), "torus_zeros": tz.to_dict()},
+        "torus_zeros.csv": ("re_z1,im_z1,re_z2,im_z2",
+                            [(p.real, p.imag, q.real, q.imag) for p, q in tz.points])}
 
 
-def _cmd_curve_type(cfg: RunConfig, args) -> int:
+def _cmd_curve_type(args) -> tuple[int, dict]:
     f = _load_poly(args.poly)
     branch = trace_branch(f, _centered_window(args.t, args.half_width, args.nodes),
                           args.nodes)
     report = curve_type_at(branch, args.t, args.max_order)
-    doc = {"config": cfg.to_dict(), "report": report.to_dict()}
-    _write_json(cfg.out_dir / "curve_type.json", doc)
-    _write_csv(cfg.out_dir / "branch.csv", branch.csv_rows())
     print(f"type at t={args.t}: {report.tau if report.tau else 'infinite'}")
-    return 0
+    return 0, {
+        "curve_type.json": {"report": report.to_dict()},
+        "branch.csv": ("t,m,dm,d2m", zip(branch.t, branch.m, branch.dm, branch.d2m))}
 
 
-def _cmd_fourier(cfg: RunConfig, args) -> int:
+def _cmd_fourier(args) -> tuple[int, dict]:
     f = _load_poly(args.poly)
     mu = branch_measure(f, args.K, args.uniform_line)
     table = fourier_coefficients(mu, args.K)
-    fit = decay_fit(table, args.shells, tau_claimed=args.tau) if args.K >= 32 else None
-    doc = {"config": cfg.to_dict(), "K": args.K, "profile": mu.profile,
+    K = table.K
+    ks = range(-K, K + 1)
+    doc = {"K": args.K, "profile": mu.profile,
            "coefficients": [[complex_to_pair(c) for c in row] for row in table.coeffs]}
-    if fit is not None:
+    cells = zip(itertools.product(ks, ks), table.coeffs.ravel().tolist())
+    files = {"fourier.json": doc,
+             "fourier.csv": ("k,l,re,im", [(k, l, c.real, c.imag) for (k, l), c in cells])}
+    if args.K >= 32:
+        fit = decay_fit(table, args.shells, tau_claimed=args.tau)
         doc["decay"] = {"slope": fit.slope, "bound_statistic": fit.bound_statistic,
                         "shell_maxima": fit.shell_maxima.tolist()}
-        _write_csv(cfg.out_dir / "decay.csv", fit.csv_rows())
-    _write_json(cfg.out_dir / "fourier.json", doc)
-    rows = ["k,l,re,im"]
-    K = table.K
-    for k in range(-K, K + 1):
-        for l in range(-K, K + 1):
-            c = table.get(k, l)
-            rows.append(f"{k},{l},{c.real!r},{c.imag!r}")
-    _write_csv(cfg.out_dir / "fourier.csv", rows)
+        files["decay.csv"] = ("shell_radius,shell_max",
+                              zip(fit.shell_radii, fit.shell_maxima))
     print(f"computed {2*K+1}x{2*K+1} coefficient table ({mu.profile} profile)")
-    return 0
+    return 0, files
 
 
-def _cmd_energy(cfg: RunConfig, args) -> int:
+def _energy_outputs(name: str, report) -> dict:
+    """<name>.json and <name>.csv for an energy report."""
+    return {f"{name}.json": {"report": report.to_dict()},
+            f"{name}.csv": ("cutoff,partial_sum", zip(report.cutoffs, report.partial_sums))}
+
+
+def _cmd_energy(args) -> tuple[int, dict]:
     f = _load_poly(args.poly)
     mu = branch_measure(f, args.K, args.uniform_line)
     table = fourier_coefficients(mu, args.K)
     cutoffs = args.cutoffs or [args.K // 8, args.K // 4, args.K // 2, args.K]
     report = riesz_energy(table, args.alpha[0], cutoffs)
-    doc = {"config": cfg.to_dict(), "report": report.to_dict()}
-    _write_json(cfg.out_dir / "energy.json", doc)
-    _write_csv(cfg.out_dir / "energy.csv", report.csv_rows())
     print(f"energy trend at alpha={args.alpha[0]}: {report.verdict.value}")
-    return 0
+    return 0, _energy_outputs("energy", report)
 
 
-def _cmd_certificate(cfg: RunConfig, args) -> int:
+def _cmd_certificate(args) -> tuple[int, dict]:
     f = _load_poly(args.poly)
     report = noncyclicity_certificate(f, args.alpha[0], K=args.K)
-    doc = {"config": cfg.to_dict(), "report": report.to_dict()}
-    _write_json(cfg.out_dir / "certificate.json", doc)
-    _write_csv(cfg.out_dir / "certificate.csv", report.csv_rows())
     print(f"certificate at alpha={args.alpha[0]}: {report.verdict.value}")
-    return 0
+    return 0, _energy_outputs("certificate", report)
 
 
-def _cmd_cofactor(cfg: RunConfig, args) -> int:
+def _cmd_cofactor(args) -> tuple[int, dict]:
     f = _load_poly(args.poly)
-    tz = torus_zero_classification(f, stability_check=False)
+    tz = torus_zero_classification(f)
     if tz.kind is TorusZeroKind.CURVE:
         raise ValueError("cofactor experiment requires finitely many torus zeros")
     report = cofactor_experiment(f, list(tz.points), args.q, args.N, args.grid)
-    doc = {"config": cfg.to_dict(), "report": report.to_dict()}
-    _write_json(cfg.out_dir / "cofactor.json", doc)
-    rows = ["cutoff,beta1_sum,beta2_sum"]
-    for i, c in enumerate(report.cutoffs):
-        rows.append(f"{c},{report.weighted_sums[1][i]!r},{report.weighted_sums[2][i]!r}")
-    _write_csv(cfg.out_dir / "cofactor.csv", rows)
     print(f"cofactor verdicts: beta1 {report.verdicts[1].value}, "
           f"beta2 {report.verdicts[2].value}; sup |Q| = {report.sup_norm:.6g}")
-    return 0
+    return 0, {
+        "cofactor.json": {"report": report.to_dict()},
+        "cofactor.csv": ("cutoff,beta1_sum,beta2_sum",
+                         zip(report.cutoffs, report.weighted_sums[1], report.weighted_sums[2]))}
 
 
 def _bundled_suite() -> list[tuple[str, list[Poly2], str]]:
@@ -245,10 +251,10 @@ def _bundled_suite() -> list[tuple[str, list[Poly2], str]]:
     ]
 
 
-def _cmd_reproduce_paper(cfg: RunConfig, args) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    summary = {"config": cfg.to_dict(), "cases": []}
-    rows = ["case,threshold,expected,match"]
+def _cmd_reproduce_paper(args) -> tuple[int, dict]:
+    rng = np.random.default_rng(args.seed)
+    summary = {"cases": []}
+    rows = []
     for name, factors, expected in _bundled_suite():
         verdict = classify(factors)
         match = verdict.threshold.label == expected
@@ -259,7 +265,7 @@ def _cmd_reproduce_paper(cfg: RunConfig, args) -> int:
             "match": match,
             "per_factor": [fa.to_dict() for fa in verdict.per_factor],
         })
-        rows.append(f"\"{name}\",{verdict.threshold.label},{expected},{match}")
+        rows.append((f'"{name}"', verdict.threshold.label, expected, match))
         print(f"{name:18s} -> {verdict.threshold.label:24s} "
               f"({'ok' if match else 'MISMATCH'})")
 
@@ -299,11 +305,10 @@ def _cmd_reproduce_paper(cfg: RunConfig, args) -> int:
     summary["random_detrep_symmetry_residual"] = worst_sym
     summary["random_detrep_first_poly"] = first_poly
 
-    _write_json(cfg.out_dir / "summary.json", summary)
-    _write_csv(cfg.out_dir / "summary.csv", rows)
     ok = all(c["match"] for c in summary["cases"])
-    print(f"suite {'passed' if ok else 'FAILED'}; outputs in {cfg.out_dir}")
-    return 0 if ok else 1
+    print(f"suite {'passed' if ok else 'FAILED'}; outputs in {Path(args.out)}")
+    return (0 if ok else 1), {"summary.json": summary,
+                            "summary.csv": ("case,threshold,expected,match", rows)}
 
 
 _HANDLERS = {
@@ -404,16 +409,10 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        out_dir=out_dir,
-        seed=args.seed,
-        options={k: v for k, v in sorted(vars(args).items())
-                 if k not in ("subcommand", "out", "seed") and v is not None
-                 and not isinstance(v, Path)},
-    )
     try:
-        return _HANDLERS[args.subcommand](cfg, args)
+        code, files = _HANDLERS[args.subcommand](args)
+        _write_outputs(out_dir, _config(args), files)
+        return code
     except (ValueError, OSError, np.linalg.LinAlgError) as e:
         _write_json(out_dir / "error.json",
                     {"error": str(e), "subcommand": args.subcommand})

@@ -108,12 +108,6 @@ class CurveBranch:
         resid = float(np.abs(line_fit(self.t, self.m)[2]).max())
         return resid <= AFFINE_TOL * max(1.0, float(np.abs(self.m).max()))
 
-    def csv_rows(self) -> list[str]:
-        rows = ["t,m,dm,d2m"]
-        for i in range(self.t.size):
-            rows.append(f"{self.t[i]!r},{self.m[i]!r},{self.dm[i]!r},{self.d2m[i]!r}")
-        return rows
-
 
 def _detect_periodicity(t: np.ndarray, m: np.ndarray,
                         window: tuple[float, float]) -> tuple[bool, int]:

@@ -283,10 +283,3 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
         dist = alpha_norm(p * f - Poly2.constant(1.0), space)
         out.append(ApproximantResult(N, p, dist, float(hi / lo)))
     return out
-
-
-def profile_csv_rows(profile) -> list[str]:
-    rows = ["N,d_N,gram_condition"]
-    for r in profile:
-        rows.append(f"{r.degree_cap},{r.distance!r},{r.gram_condition!r}")
-    return rows

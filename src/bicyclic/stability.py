@@ -354,8 +354,8 @@ def _univariate_reports(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
 
 def zero_reports(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
     """The bidisk report of `bidisk_zero_scan` and the torus report of
-    `torus_zero_classification` (without its stability check), from one
-    run of the slice engine, or from the roots of a univariate f."""
+    `torus_zero_classification`, from one run of the slice engine, or from
+    the roots of a univariate f."""
     if f.is_zero:
         raise ValueError("zero polynomial")
     if f.is_univariate:
@@ -374,16 +374,13 @@ def bidisk_zero_scan(f: Poly2) -> BidiskStabilityReport:
     return zero_reports(f)[0]
 
 
-def torus_zero_classification(f: Poly2, *, stability_check: bool = True) -> TorusZeroSet:
+def torus_zero_classification(f: Poly2) -> TorusZeroSet:
     """Classify Z(f) on the torus as empty, a finite point list, or a curve.
 
     Irreducibility of f is a documented precondition.  For bivariate f the
     slice engine decides: self-inversive circle slices (f~ = lambda f) give
     a curve, otherwise it lists the isolated torus zeros.  A univariate f
-    with a root within OPEN_MARGIN of the circle vanishes on a curve.  With
-    `stability_check`, zeros inside the bidisk raise.
+    with a root within OPEN_MARGIN of the circle vanishes on a curve.  Zeros
+    inside the bidisk are not checked; `zero_reports` returns both reports.
     """
-    report, torus = zero_reports(f)
-    if stability_check and report.has_zero_in_open_bidisk:
-        raise ValueError("polynomial has zeros inside the bidisk")
-    return torus
+    return zero_reports(f)[1]

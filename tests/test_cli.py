@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 
 import numpy as np
@@ -152,6 +154,100 @@ class TestPipelines:
         assert rows[0] == "N,d_N,gram_condition"
         ds = [float(r.split(",")[1]) for r in rows[1:]]
         assert ds == sorted(ds, reverse=True)
+
+
+@pytest.fixture(scope="module")
+def all_outputs(tmp_path_factory):
+    """The output directories of one run of each of the ten subcommands."""
+    root = tmp_path_factory.mktemp("all")
+    f0 = write_poly(root / "f0.json", [[1, 0], [0, 1]])
+    fa = write_poly(root / "fa.json", [[1, -0.5], [-0.5, 1]])
+    g = write_poly(root / "g.json", [[2, -1], [-1, 0]])
+    u = root / "u.json"
+    a, b = 0.5, np.sqrt(0.75)
+    u.write_text(json.dumps([[[a, 0.0], [-b, 0.0]], [[b, 0.0], [a, 0.0]]]))
+    calls = {
+        "classify": (["classify", "--factors", g, f0], 4),
+        "approximant": (["approximant", "--poly", f0, "--alpha", "0.5",
+                         "--caps", "0", "2"], 0),
+        "detgen": (["detgen", "--size", "1", "1", "--unitary", str(u)], 0),
+        "torus-zeros": (["torus-zeros", "--poly", g], 0),
+        "curve-type": (["curve-type", "--poly", fa, "--t", "1.5707963267948966",
+                        "--nodes", "64"], 0),
+        "fourier": (["fourier", "--poly", fa, "--K", "32", "--tau", "2"], 0),
+        "energy": (["energy", "--poly", fa, "--alpha", "0.75", "--K", "64"], 0),
+        "certificate": (["certificate", "--poly", fa, "--alpha", "0.75", "--K", "64"], 0),
+        "cofactor": (["cofactor", "--poly", g, "--q", "1", "--N", "4"], 0),
+        "reproduce-paper": (["--seed", "3", "reproduce-paper"], 0),
+    }
+    outs = {}
+    for name, (argv, code) in calls.items():
+        outs[name] = root / "out" / name
+        assert run(["--out", str(outs[name])] + argv) == code, name
+    return outs
+
+
+# every CSV file each subcommand writes
+CSV_FILES = [("classify", "verdict.csv"), ("approximant", "approximant.csv"),
+             ("detgen", "detgen.csv"), ("torus-zeros", "torus_zeros.csv"),
+             ("curve-type", "branch.csv"), ("fourier", "fourier.csv"),
+             ("fourier", "decay.csv"), ("energy", "energy.csv"),
+             ("certificate", "certificate.csv"), ("cofactor", "cofactor.csv"),
+             ("reproduce-paper", "summary.csv")]
+# the CSV columns that hold labels; every other cell is a number
+TEXT_COLUMNS = {"factor_index", "threshold", "case", "expected", "match"}
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestOutputFiles:
+    def test_csv_files_listed(self, all_outputs):
+        written = {(name, p.name) for name, out in all_outputs.items()
+                   for p in out.glob("*.csv")}
+        assert written == set(CSV_FILES)
+
+    @pytest.mark.parametrize("name, csv_name", CSV_FILES, ids=[c for _, c in CSV_FILES])
+    def test_numeric_cells_parse_as_floats(self, all_outputs, name, csv_name):
+        header, *rows = read_csv(all_outputs[name] / csv_name)
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            for col, cell in zip(header, row):
+                if col not in TEXT_COLUMNS:
+                    float(cell)
+
+    def test_branch_csv(self, all_outputs):
+        header, *rows = read_csv(all_outputs["curve-type"] / "branch.csv")
+        assert header == ["t", "m", "dm", "d2m"]
+        assert len(rows) == 64
+
+    def test_approximant_csv(self, all_outputs):
+        header, *rows = read_csv(all_outputs["approximant"] / "approximant.csv")
+        assert header == ["N", "d_N", "gram_condition"]
+        assert [r[0] for r in rows] == ["0", "2"]
+
+    def test_config_records_inputs_by_name_and_hash(self, all_outputs):
+        doc = json.loads((all_outputs["classify"] / "verdict.json").read_text())
+        factors = doc["config"]["options"]["factors"]
+        assert [r["name"] for r in factors] == ["g.json", "f0.json"]
+        g = all_outputs["classify"].parent.parent / "g.json"
+        assert factors[0]["sha256"] == hashlib.sha256(g.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("argv", [["torus-zeros", "--poly"], ["classify", "--factors"]],
+                             ids=["torus-zeros", "classify"])
+    def test_outputs_independent_of_input_directory(self, tmp_path, argv):
+        # one polynomial saved under two directories of different path length
+        for tag, sub in (("short", "a"), ("long", "a-much-longer-directory-name/nested")):
+            (tmp_path / sub).mkdir(parents=True)
+            path = write_poly(tmp_path / sub / "g.json", [[2, -1], [-1, 0]])
+            run(["--out", str(tmp_path / "out" / tag)] + argv + [path])
+        a = sorted((tmp_path / "out" / "short").iterdir())
+        b = sorted((tmp_path / "out" / "long").iterdir())
+        assert a and [p.name for p in a] == [p.name for p in b]
+        assert all(x.read_bytes() == y.read_bytes() for x, y in zip(a, b))
 
 
 class TestParserReuse:

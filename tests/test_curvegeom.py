@@ -93,12 +93,6 @@ class TestTraceBranch:
         with pytest.raises(ValueError):
             trace_branch(Poly2([[3, 1], [1, 0]]), (0.0, TWO_PI), 64)
 
-    def test_csv_rows(self, f0):
-        br = trace_branch(f0, (0.0, TWO_PI), 64)
-        rows = br.csv_rows()
-        assert rows[0] == "t,m,dm,d2m"
-        assert len(rows) == 65
-
 
 class TestCurveType:
     def test_fa_type2_at_half_pi(self):

@@ -6,7 +6,7 @@ from numpy.polynomial.legendre import leggauss
 
 from bicyclic.dirichlet import (AlphaSpace, _gram, _support_lattice, _swap_symmetric,
                                 _total_degree_basis, alpha_norm, distance_profile,
-                                optimal_approximant, profile_csv_rows)
+                                optimal_approximant)
 from bicyclic.poly2 import Poly2
 from conftest import from_terms, random_poly
 
@@ -335,12 +335,6 @@ class TestDistanceProfile:
 
     def test_empty_caps(self, f0):
         assert distance_profile(f0, AlphaSpace(0.5), []) == []
-
-    def test_csv_rows(self, f0):
-        prof = distance_profile(f0, AlphaSpace(0.5), [0, 2])
-        rows = profile_csv_rows(prof)
-        assert rows[0] == "N,d_N,gram_condition"
-        assert len(rows) == 3 and rows[1].startswith("0,")
 
 
 class TestGramMatrix:

@@ -24,6 +24,7 @@ CONVERGENT_RATIO = 0.9       # increment ratio below which the trend is converge
 DIVERGENT_RATIO = 0.98       # increment ratio above which increments count as non-decreasing
 NEGLIGIBLE_INCREMENT = 1e-12
 _LATTICE_BLOCK_ROWS = 64     # lattice rows per block of the cofactor experiment
+_FOURIER_BLOCK_NODES = 256   # support nodes per block of the Fourier table
 
 
 def _check_K(K: int, least: int) -> None:
@@ -112,11 +113,6 @@ class FourierTable:
         self.K = K
         self.coeffs = coeffs
 
-    def get(self, k: int, l: int) -> complex:
-        if abs(k) > self.K or abs(l) > self.K:
-            raise KeyError((k, l))
-        return complex(self.coeffs[k + self.K, l + self.K])
-
     def moduli(self) -> np.ndarray:
         return np.abs(self.coeffs)
 
@@ -145,19 +141,28 @@ def fourier_coefficients(mu: CurveMeasure, K: int) -> FourierTable:
     exponentials of the negative frequencies are the conjugates of the
     positive ones, the rows k < 0 are filled by conjugation and row 0 is
     symmetrized, so the symmetry holds exactly.  The exponentials come from
-    `_phase_powers`.
+    `_phase_powers`.  The support is summed in blocks of
+    _FOURIER_BLOCK_NODES nodes, one matmul per block into the rows k >= 0,
+    so memory grows with the table and not with nodes x modes; a support of
+    one block is one matmul.
     """
     _check_K(K, 0)
     branch = mu.branch
     if branch.t.size < 8 * K:
         raise ValueError(f"branch resolution {branch.t.size} too low for K = {K}")
     support = np.flatnonzero(mu.psi)
-    E1 = _phase_powers(branch.t[support], K)               # (K+1, support size)
-    E2 = _phase_powers(branch.m[support], K)
-    E2 = np.concatenate([np.conj(E2[:0:-1]), E2])          # l = -K..K
-    table = np.empty((2 * K + 1, 2 * K + 1), dtype=complex)
+    table = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
     top = table[K:]
-    np.matmul(E1 * (mu.psi[support] * branch.spacing)[None, :], E2.T, out=top)
+    for start in range(0, support.size, _FOURIER_BLOCK_NODES):
+        nodes = support[start:start + _FOURIER_BLOCK_NODES]
+        E1 = _phase_powers(branch.t[nodes], K)               # (K+1, block size)
+        E1 *= (mu.psi[nodes] * branch.spacing)[None, :]
+        E2 = _phase_powers(branch.m[nodes], K)
+        E2 = np.concatenate([np.conj(E2[:0:-1]), E2])        # l = -K..K
+        if start == 0:
+            np.matmul(E1, E2.T, out=top)
+        else:
+            top += E1 @ E2.T
     top[0] = 0.5 * (top[0] + np.conj(top[0, ::-1]))
     table[:K] = np.conj(top[:0:-1, ::-1])
     return FourierTable(K, table)
@@ -358,7 +363,11 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int) -> CofactorR
     and Q0, one factor per variable, is the outer product of two products
     over w.  The lattice is built in blocks of _LATTICE_BLOCK_ROWS rows: each
     block is tested for zeros, divided, and put through the first FFT pass,
-    of which only the columns up to the largest cutoff are kept.
+    of which only the columns up to the largest cutoff are kept, stored
+    transposed.  The second pass runs over that store in blocks of
+    _LATTICE_BLOCK_ROWS columns and writes |Q_hat|^2 straight into the
+    (kmax+1)^2 array of the weighted sums, so memory grows with the kept
+    modes and not with the whole lattice.
     """
     if grid < 256 or grid & (grid - 1):
         raise ValueError("grid must be a power of two, at least 256")
@@ -374,8 +383,9 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int) -> CofactorR
 
     cutoffs = [grid // 8, grid // 4, grid // 2 - 1]
     kmax = cutoffs[-1]
-    # fft2's first pass (last axis), kept to the modes l <= kmax
-    cols = np.empty((grid, kmax + 1), dtype=complex)
+    # fft2's first pass (last axis), kept to the modes l <= kmax and stored
+    # transposed, so that the second pass runs over contiguous rows
+    cols = np.empty((kmax + 1, grid), dtype=complex)
     block_sups = []
     for start in range(0, grid, _LATTICE_BLOCK_ROWS):
         rows = slice(start, start + _LATTICE_BLOCK_ROWS)
@@ -390,16 +400,23 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int) -> CofactorR
                         "the supplied zeros")
         qv = np.divide(np.outer(aN[rows], bN), fv, out=np.zeros_like(fv), where=~tiny)
         block_sups.append(np.abs(qv).max())
-        cols[rows] = np.fft.fft(qv, axis=1)[:, : kmax + 1]
+        cols[:, rows] = np.fft.fft(qv, axis=1)[:, : kmax + 1].T
 
-    # the second pass, kept to the modes k <= kmax
-    qhat = np.fft.fft(cols, axis=0)[: kmax + 1]
-    block = np.abs(qhat / (grid * grid)) ** 2
+    # the second pass in blocks of columns l, kept to the modes k <= kmax;
+    # power[k, l] = |Q_hat(k, l)|^2
+    power = np.empty((kmax + 1, kmax + 1))
+    for start in range(0, kmax + 1, _LATTICE_BLOCK_ROWS):
+        lcols = slice(start, start + _LATTICE_BLOCK_ROWS)
+        qhat = np.fft.fft(cols[lcols], axis=1)[:, : kmax + 1]
+        power[:, lcols] = (np.abs(qhat / (grid * grid)) ** 2).T
+    del cols
     sums: dict = {}
     verdicts: dict = {}
+    weighted = np.empty_like(power)
     for beta in (1, 2):
         wk = (np.arange(kmax + 1) + 1.0) ** beta
-        weighted = block * wk[:, None] * wk[None, :]
+        np.multiply(power, wk[:, None], out=weighted)
+        weighted *= wk[None, :]
         per_cut = [float(weighted[: c + 1, : c + 1].sum()) for c in cutoffs]
         sums[beta] = per_cut
         verdicts[beta] = trend_verdict(per_cut)

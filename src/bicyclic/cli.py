@@ -364,8 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unitary", help="matrix JSON [[re,im],...]")
     p.add_argument("--dataset", default=None,
                    help="reconstruct a bundled named example instead")
-    p.add_argument("--scale-re", type=float, default=1.0)
-    p.add_argument("--scale-im", type=float, default=0.0)
+    p.add_argument("--scale-re", type=float, help="default 1.0")
+    p.add_argument("--scale-im", type=float, help="default 0.0")
 
     p = sub.add_parser("torus-zeros", help="empty/finite/curve classification")
     add_poly(p)
@@ -404,9 +404,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# detgen's --unitary route options, with the defaults of those that have one
+_DETGEN_UNITARY_OPTIONS = {"size": None, "unitary": None, "scale_re": 1.0, "scale_im": 0.0}
+
+
+def _detgen_options(ap: argparse.ArgumentParser, args) -> None:
+    """--dataset takes none of the --unitary route's options (a usage error
+    naming the first one given); that route gets its defaults where unset."""
+    for k, default in _DETGEN_UNITARY_OPTIONS.items():
+        if getattr(args, k) is None:
+            if not args.dataset:
+                setattr(args, k, default)
+        elif args.dataset:
+            ap.error(f"detgen --dataset cannot be combined with --{k.replace('_', '-')}")
+
+
 def run(argv=None) -> int:
     """Parse argv, dispatch, and translate failures into exit codes."""
-    args = _build_parser().parse_args(argv)
+    ap = _build_parser()
+    args = ap.parse_args(argv)
+    if args.subcommand == "detgen":
+        _detgen_options(ap, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

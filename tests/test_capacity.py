@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bicyclic.capacity import (FourierTable, TrendVerdict, _phase_powers, _root_powers,
-                               branch_measure, cofactor_experiment, decay_fit,
-                               fourier_coefficients, make_bump_measure, make_uniform_measure,
+from bicyclic.capacity import (_FOURIER_BLOCK_NODES, FourierTable, TrendVerdict,
+                               _phase_powers, _root_powers, branch_measure,
+                               cofactor_experiment, decay_fit, fourier_coefficients,
+                               make_bump_measure, make_uniform_measure,
                                noncyclicity_certificate, riesz_energy, trend_verdict)
 from bicyclic.classifier import classify
 from bicyclic.curvegeom import curve_type_at, fa_poly, trace_branch
@@ -42,6 +43,11 @@ def horizontal_table(K=64, nodes=1024):
     return fourier_coefficients(make_uniform_measure(br), K)
 
 
+def entry(table, k, l):
+    """mu_hat(k, l) read from the (2K+1) x (2K+1) coefficient array."""
+    return complex(table.coeffs[k + table.K, l + table.K])
+
+
 def dense_fourier_oracle(mu, K):
     """The trapezoid sum over every branch node, zeros of psi included."""
     br = mu.branch
@@ -60,6 +66,22 @@ def direct_exp_fourier_oracle(mu, K):
     ks = np.arange(K + 1)
     E1 = np.exp(-1j * np.outer(ks, br.t[support]))
     E2 = np.exp(-1j * np.outer(ks, br.m[support]))
+    E2 = np.concatenate([np.conj(E2[:0:-1]), E2])
+    table = np.empty((2 * K + 1, 2 * K + 1), dtype=complex)
+    top = table[K:]
+    np.matmul(E1 * (mu.psi[support] * br.spacing)[None, :], E2.T, out=top)
+    top[0] = 0.5 * (top[0] + np.conj(top[0, ::-1]))
+    table[:K] = np.conj(top[:0:-1, ::-1])
+    return table
+
+
+def one_shot_fourier_oracle(mu, K):
+    """The support sum as one matmul over every support node, as before the
+    nodes were summed in blocks."""
+    br = mu.branch
+    support = np.flatnonzero(mu.psi)
+    E1 = _phase_powers(br.t[support], K)
+    E2 = _phase_powers(br.m[support], K)
     E2 = np.concatenate([np.conj(E2[:0:-1]), E2])
     table = np.empty((2 * K + 1, 2 * K + 1), dtype=complex)
     top = table[K:]
@@ -154,13 +176,13 @@ class TestFourierCoefficients:
         cf = closed_form_branch_fa(0.5, (0.0, TWO_PI), 1024)
         mu = make_bump_measure(cf, np.pi / 2, 1.0)
         tab = fourier_coefficients(mu, 32)
-        assert abs(tab.get(0, 0) - 1.0) <= 1e-12
+        assert abs(entry(tab, 0, 0) - 1.0) <= 1e-12
 
     def test_conjugate_symmetry_exact(self):
         cf = closed_form_branch_fa(0.25, (0.0, TWO_PI), 1024)
         tab = fourier_coefficients(make_bump_measure(cf, 2.0, 0.8), 32)
         for k, l in ((3, 5), (-7, 2), (10, -4)):
-            assert tab.get(-k, -l) == np.conj(tab.get(k, l))
+            assert entry(tab, -k, -l) == np.conj(entry(tab, k, l))
 
     def test_resolution_guard(self):
         br = trace_branch(Poly2([[1, 0], [0, 1]]), (0.0, TWO_PI), 128)
@@ -188,7 +210,7 @@ class TestFourierCoefficients:
         for nodes in (1024, 2048):
             cf = closed_form_branch_fa(0.5, (0.0, TWO_PI), nodes)
             tab = fourier_coefficients(make_bump_measure(cf, np.pi / 2, 1.0), 16)
-            vals.append(tab.get(5, 3))
+            vals.append(entry(tab, 5, 3))
         assert abs(vals[0] - vals[1]) <= 1e-9
 
     def test_constant_branch_reduces_to_1d(self):
@@ -197,7 +219,46 @@ class TestFourierCoefficients:
         tab = fourier_coefficients(mu, 24)
         for l in (-5, 0, 7):
             for k in (-3, 1, 9):
-                assert abs(tab.get(k, l) - tab.get(k, 0)) <= 1e-12
+                assert abs(entry(tab, k, l) - entry(tab, k, 0)) <= 1e-12
+
+
+ONE_BLOCK = ["f_0.5-K128", "f_0.4-K256", "f_0.77-K256", "narrow traced bump"]
+SEVERAL_BLOCKS = ["1+z1z2-K128", "1-z1z2-K256", "closed-form bump"]
+
+
+def block_case(name):
+    """(measure, K) of an accuracy input, or of an oracle measure at K 128."""
+    return accuracy_case(name) if name in ACCURACY_INPUTS else (oracle_measure(name), 128)
+
+
+class TestFourierNodeBlocks:
+    @pytest.mark.parametrize("name", ONE_BLOCK)
+    def test_one_block_support_is_one_matmul(self, name):
+        mu, K = block_case(name)
+        assert np.count_nonzero(mu.psi) <= _FOURIER_BLOCK_NODES
+        got = fourier_coefficients(mu, K).coeffs
+        assert np.array_equal(got, one_shot_fourier_oracle(mu, K))
+
+    @pytest.mark.parametrize("name", SEVERAL_BLOCKS)
+    def test_block_sum_within_rounding_of_one_matmul(self, name):
+        # the block sums reorder the node sum, so entries move by rounding only
+        mu, K = block_case(name)
+        assert np.count_nonzero(mu.psi) > _FOURIER_BLOCK_NODES
+        got = fourier_coefficients(mu, K).coeffs
+        oracle = one_shot_fourier_oracle(mu, K)
+        bound = 4 * np.finfo(float).eps * np.abs(oracle).max()
+        assert np.abs(got - oracle).max() <= bound
+
+    def test_peak_memory_at_K_256_uniform(self):
+        # the one-matmul form peaks at about 41 MB under tracemalloc
+        mu, K = accuracy_case("1-z1z2-K256")
+        tracemalloc.start()
+        try:
+            fourier_coefficients(mu, K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
 
 
 class TestPhasePowers:
@@ -261,7 +322,7 @@ class TestDecayFit:
     def test_axis_slope_zero_for_constant_branch(self):
         br = trace_branch(Poly2([[1, -1]]), (0.0, TWO_PI), 1024)
         tab = fourier_coefficients(make_bump_measure(br, np.pi, 1.5), 64)
-        along_l = [abs(tab.get(0, l)) for l in range(1, 65)]
+        along_l = [abs(entry(tab, 0, l)) for l in range(1, 65)]
         assert np.std(along_l) <= 1e-12
 
     def test_small_table_rejected(self):
@@ -447,14 +508,15 @@ class TestCofactorRowBlocks:
         assert str(got.value) == str(expect.value)
 
     def test_peak_memory_at_grid_1024(self, two_minus):
-        # the whole-lattice form peaks above 70 MB under tracemalloc
+        # the whole-lattice form peaks above 70 MB under tracemalloc, the
+        # whole second FFT pass at about 26 MB
         tracemalloc.start()
         try:
             cofactor_experiment(two_minus, [(1 + 0j, 1 + 0j)], 1, 4, 1024)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        assert peak < 16 * 2 ** 20
 
 
 class TestCofactor:

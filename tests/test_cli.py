@@ -84,6 +84,33 @@ class TestDetgen:
         rc = run(["--out", str(tmp_path / "o"), "detgen"])
         assert rc == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("extra, option", [
+        (["--size", "1", "1"], "--size"),
+        (["--unitary", "u.json"], "--unitary"),
+        (["--scale-re", "1.0"], "--scale-re"),
+        (["--scale-im", "0.0"], "--scale-im"),
+    ], ids=["size", "unitary", "scale-re", "scale-im"])
+    def test_dataset_rejects_unitary_options(self, tmp_path, capsys, extra, option):
+        # the dataset route would ignore them, so they are a usage error
+        with pytest.raises(SystemExit) as exc:
+            run(["--out", str(tmp_path / "o"), "detgen", "--dataset", "fa_05", *extra])
+        assert exc.value.code == 2
+        assert f"detgen --dataset cannot be combined with {option}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_dataset_config_records_only_the_dataset(self, tmp_path):
+        assert run(["--out", str(tmp_path / "o"), "detgen", "--dataset", "fa_05"]) == 0
+        doc = json.loads((tmp_path / "o" / "detgen.json").read_text())
+        assert doc["config"]["options"] == {"dataset": "fa_05"}
+
+    def test_unitary_route_records_default_scale(self, tmp_path):
+        u = tmp_path / "u.json"
+        u.write_text(json.dumps([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]))
+        assert run(["--out", str(tmp_path / "o"), "detgen", "--size", "1", "1",
+                    "--unitary", str(u)]) == 0
+        options = json.loads((tmp_path / "o" / "detgen.json").read_text())["config"]["options"]
+        assert (options["scale_re"], options["scale_im"]) == (1.0, 0.0)
+
 
 class TestPipelines:
     def test_torus_zeros(self, tmp_path, finite_file):

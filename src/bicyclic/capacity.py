@@ -27,9 +27,9 @@ _LATTICE_BLOCK_ROWS = 64     # lattice rows per block of the cofactor experiment
 _FOURIER_BLOCK_NODES = 256   # support nodes per block of the Fourier table
 
 
-def _check_K(K: int, least: int) -> None:
-    if K < least:
-        raise ValueError(f"K must be at least {least}, got K = {K}")
+def _check_at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {name} = {value}")
 
 
 class TrendVerdict(enum.Enum):
@@ -146,7 +146,7 @@ def fourier_coefficients(mu: CurveMeasure, K: int) -> FourierTable:
     so memory grows with the table and not with nodes x modes; a support of
     one block is one matmul.
     """
-    _check_K(K, 0)
+    _check_at_least("K", K, 0)
     branch = mu.branch
     if branch.t.size < 8 * K:
         raise ValueError(f"branch resolution {branch.t.size} too low for K = {K}")
@@ -186,8 +186,12 @@ def decay_fit(table: FourierTable, shells: int,
     """Fit log(shell max) against log(radius) over dyadic shells.
 
     The bound statistic sup_shells max * R^(1/tau) estimates the constant in
-    a claimed decay rate (k^2+l^2)^(-1/(2 tau)).
+    a claimed decay rate (k^2+l^2)^(-1/(2 tau)).  A line needs two shells,
+    and a rate needs tau > 0.
     """
+    _check_at_least("shells", shells, 2)
+    if tau_claimed is not None and not tau_claimed > 0:
+        raise ValueError(f"tau_claimed must be positive, got tau_claimed = {tau_claimed}")
     if table.K < 32:
         raise ValueError("need K >= 32 for a meaningful decay fit")
     K = table.K
@@ -246,8 +250,9 @@ def riesz_energy(table: FourierTable, alpha: float, cutoffs) -> EnergyReport:
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     cutoffs = [int(c) for c in cutoffs]
-    if any(c <= 0 or c > table.K for c in cutoffs) or sorted(cutoffs) != cutoffs:
-        raise ValueError("cutoffs must be increasing and bounded by K")
+    if (any(c <= 0 or c > table.K for c in cutoffs)
+            or any(b <= a for a, b in zip(cutoffs, cutoffs[1:]))):
+        raise ValueError("cutoffs must be strictly increasing and bounded by K")
     K = table.K
     mods2 = table.moduli() ** 2
 
@@ -280,7 +285,7 @@ def branch_measure(f: Poly2, K: int, uniform: bool = False) -> CurveMeasure:
     branch, so then no node has type 2 (as on a straight line in the torus,
     whose coefficients lie on one frequency line).
     """
-    _check_K(K, 0)
+    _check_at_least("K", K, 0)
     branch = trace_branch(f, (0.0, TWO_PI), max(8 * K, 1024))
     if uniform:
         return make_uniform_measure(branch)
@@ -311,7 +316,7 @@ def noncyclicity_certificate(f: Poly2, alpha: float, K: int = 128) -> EnergyRepo
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
-    _check_K(K, 8)
+    _check_at_least("K", K, 8)
     tz = torus_zero_classification(f)
     if tz.kind is not TorusZeroKind.CURVE:
         raise ValueError("certificate requires a torus zero curve")
@@ -367,8 +372,10 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int) -> CofactorR
     transposed.  The second pass runs over that store in blocks of
     _LATTICE_BLOCK_ROWS columns and writes |Q_hat|^2 straight into the
     (kmax+1)^2 array of the weighted sums, so memory grows with the kept
-    modes and not with the whole lattice.
+    modes and not with the whole lattice.  q = 0 or N = 0 gives Q = 1/f.
     """
+    _check_at_least("q", q, 0)
+    _check_at_least("N", N, 0)
     if grid < 256 or grid & (grid - 1):
         raise ValueError("grid must be a power of two, at least 256")
     zeros = list(zeros)     # read twice below, so a one-pass iterable would run dry

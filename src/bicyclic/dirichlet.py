@@ -43,6 +43,10 @@ def alpha_norm(f: Poly2, space: AlphaSpace) -> float:
 
 @dataclass(frozen=True)
 class ApproximantResult:
+    """The optimal approximant at one degree cap, its distance ||p f - 1||,
+    and gram_condition, the 2-norm condition number of the Gram block that
+    the solve factors."""
+
     degree_cap: int
     approximant: Poly2
     distance: float
@@ -145,15 +149,13 @@ def _support_lattice(f: Poly2) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _coset_keys(lattice: tuple[int, int, int], bi: np.ndarray, bj: np.ndarray) -> np.ndarray:
-    """One row per point (i, j): equal rows iff the points differ by L."""
+def _in_lattice(lattice: tuple[int, int, int], bi: np.ndarray, bj: np.ndarray) -> np.ndarray:
+    """Mask of the points (i, j) that lie in L = Z (b, c) + Z (a, 0)."""
     a, b, c = lattice
-    r, u = bj, bi
+    on, u = bj == 0, bi
     if c:
-        r, u = bj % c, bi - (bj // c) * b
-    if a:
-        u = u % a
-    return np.stack([r, u], axis=1)
+        on, u = bj % c == 0, bi - (bj // c) * b
+    return on & (u % a == 0 if a else u == 0)
 
 
 def _swap_symmetric(f: Poly2) -> bool:
@@ -162,52 +164,43 @@ def _swap_symmetric(f: Poly2) -> bool:
     return a.shape[0] == a.shape[1] and (np.array_equal(a, a.T) or np.array_equal(a, -a.T))
 
 
-def _swap_halves(Gc: np.ndarray, i: np.ndarray, j: np.ndarray, mirror: np.ndarray):
-    """Even and odd blocks of a coset block Gc that the swap maps to itself.
+def _even_half(Gc: np.ndarray, i: np.ndarray, j: np.ndarray, mirror: np.ndarray):
+    """Even block of a block Gc that the swap maps to itself.
 
     Row r of Gc is the shift (i[r], j[r]) and row mirror[r] is (j[r], i[r]).
     The even basis is v_r = (e_r + e_mirror(r)) / |e_r + e_mirror(r)| over
-    the rows `even` with i <= j, the odd basis (e_r - e_mirror(r)) / sqrt(2)
-    over the rows `odd` with i < j, each in the order of Gc, so a cap is
-    still a leading block when Gc is in degree order.  Each entry sums G's
-    four sub-blocks in pairs that are exact on the diagonal points, then
-    scales by the two norms, |e_r + e_mirror(r)| = 2^a with a = 1 on the
-    diagonal and 1/2 off it.  Returns (E, O, even, odd).
+    the rows `even` with i <= j, in the order of Gc, so a cap is still a
+    leading block when Gc is in degree order.  Each entry sums G's four
+    sub-blocks in pairs that are exact on the diagonal points, then scales
+    by the two norms, |e_r + e_mirror(r)| = 2^a with a = 1 on the diagonal
+    and 1/2 off it.  Returns (E, even).
     """
     even = np.flatnonzero(i <= j)
-    odd = np.flatnonzero(i < j)
     off = (i[even] < j[even]).astype(np.intp)
     rows = Gc[even] + Gc[mirror[even]]
     E = np.take(rows, even, axis=1) + np.take(rows, mirror[even], axis=1)
     E *= np.array([0.25, 0.5 ** 1.5, 0.5])[np.add.outer(off, off)]
-    rows = Gc[odd] - Gc[mirror[odd]]
-    O = np.take(rows, odd, axis=1) - np.take(rows, mirror[odd], axis=1)
-    O *= 0.5
-    return E, O, even, odd
+    return E, even
 
 
 def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResult]:
     """Optimal approximants for a strictly increasing list of degree caps.
 
     G[b, b'] = <z^b' f, z^b f> vanishes unless b' - b lies in the lattice L
-    spanned by the differences of supp f, so G is block diagonal over the
-    cosets of L.  The basis at max(caps) is ordered by (coset, degree), and
-    within each coset the basis of a cap is a prefix, so its block is a
-    leading block of that coset's block of the one Gram matrix.  Each cap
-    costs one `eigvalsh` per coset block, which gives `gram_condition`
-    (the exact 2-norm condition number max lambda_max / min lambda_min) and
-    rejects a block that is not positive definite, and one linear solve on
-    the coset of (0, 0), the only one where the right-hand side
-    <1, z^b f> = conj(a00) e_0 is nonzero.  For f whose support differences
-    span Z^2 there is one coset and the order is the degree order.
+    spanned by the differences of supp f, and the right-hand side
+    <1, z^b f> = conj(a00) e_0 vanishes off b = (0, 0).  So p lies on the
+    shifts in L, the coset of (0, 0), and only that block of G is built
+    (`_in_lattice`), once at max(caps) with the basis in degree order: the
+    basis of a cap is a prefix, so its block is a leading block.  Each cap
+    costs one `eigvalsh` of the block it solves, which gives
+    `gram_condition` and rejects a block that is not positive definite, and
+    one linear solve.  For f whose support differences span Z^2, L is Z^2.
 
     When f(z2, z1) = +-f(z1, z2) the swap of the shifts (i, j) <-> (j, i)
-    commutes with G and permutes the cosets.  A coset it maps to itself
-    splits into an even and an odd block (`_swap_halves`); of two cosets it
-    exchanges, which have one spectrum, only the first takes an `eigvalsh`.
-    The right-hand side is even, so the solve runs on the even block of the
-    coset of (0, 0), and p comes out exactly symmetric.  The distance is
-    evaluated directly from the residual coefficients.
+    maps L to itself and commutes with G, and the right-hand side is even,
+    so the solve runs on the even half of the block (`_even_half`) and p
+    comes out exactly symmetric.  The distance is evaluated directly from
+    the residual coefficients.
     """
     caps = list(caps)
     if any(b <= a for a, b in zip(caps, caps[1:])):
@@ -220,60 +213,33 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
         raise ValueError("degree cap must be nonnegative")
     cap = caps[-1]
     bi, bj = np.array(_total_degree_basis(cap)).T
-    _, coset = np.unique(_coset_keys(_support_lattice(f), bi, bj), axis=0,
-                         return_inverse=True)
-    coset = coset.ravel()
-    home = int(coset[0])    # the coset of (0, 0), the first point by degree
-    if coset.any():
-        order = np.argsort(coset, kind="stable")
-        bi, bj, coset = bi[order], bj[order], coset[order]
-    G = _gram(f, space, cap, bi, bj)
-    # coset c starts at row starts[c] of G, its members' degrees ascending in
-    # degrees[c]; (0, 0) leads its coset
-    starts = np.flatnonzero(np.r_[True, coset[1:] != coset[:-1]]).tolist()
-    degrees = np.split(bi + bj, starts[1:])
-    blocks = [(G[s: s + deg.size, s: s + deg.size], deg)
-              for s, deg in zip(starts, degrees)]
-    # the solve's block, its rows' degrees and its rows in G
-    H, hdeg = blocks[home]
-    hrows = starts[home] + np.arange(hdeg.size)
+    home = _in_lattice(_support_lattice(f), bi, bj)
+    bi, bj = bi[home], bj[home]
+    H = _gram(f, space, cap, bi, bj)
     swap = _swap_symmetric(f)
     if swap:
         pos = np.zeros((cap + 1, cap + 1), dtype=int)
         pos[bi, bj] = np.arange(bi.size)
-        mirror = pos[bj, bi]
-        blocks = []
-        for c, (s, deg) in enumerate(zip(starts, degrees)):
-            e = s + deg.size
-            if coset[mirror[s]] > c:    # its mirror coset comes later in G
-                blocks.append((G[s:e, s:e], deg))
-            elif coset[mirror[s]] == c:
-                E, O, even, odd = _swap_halves(G[s:e, s:e], bi[s:e], bj[s:e], mirror[s:e] - s)
-                blocks += [(E, deg[even]), (O, deg[odd])]
-                if c == home:
-                    H, hdeg, hrows = E, deg[even], s + even
-        # p = sum x_r v_r over the even basis of the coset of (0, 0)
-        to_coeff = np.where(bi[hrows] == bj[hrows], 1.0, math.sqrt(0.5))
+        H, even = _even_half(H, bi, bj, pos[bj, bi])
+        bi, bj = bi[even], bj[even]
+        # p = sum x_r v_r over the even basis
+        to_coeff = np.where(bi == bj, 1.0, math.sqrt(0.5))
+    deg = bi + bj
     a00 = f.coeffs[0, 0]
-    rhs0 = np.conj(a00) if G.dtype.kind == "c" else a00.real
+    rhs0 = np.conj(a00) if H.dtype.kind == "c" else a00.real
 
     out = []
     for N in caps:
-        lo, hi = np.inf, 0.0
-        for M, deg in blocks:
-            B = int(np.searchsorted(deg, N, side="right"))
-            if B == 0:
-                continue
-            eig = np.linalg.eigvalsh(M[:B, :B])
-            if eig[0] <= 0:
-                raise ValueError("singular Gram matrix (condition estimate "
-                                 f"{np.linalg.cond(M[:B, :B]):.3e})")
-            lo, hi = min(lo, eig[0]), max(hi, eig[-1])
-        B = int(np.searchsorted(hdeg, N, side="right"))
-        rhs = np.zeros(B, dtype=G.dtype)
+        B = int(np.searchsorted(deg, N, side="right"))
+        M = H[:B, :B]
+        eig = np.linalg.eigvalsh(M)
+        if eig[0] <= 0:
+            raise ValueError("singular Gram matrix (condition estimate "
+                             f"{np.linalg.cond(M):.3e})")
+        rhs = np.zeros(B, dtype=H.dtype)
         rhs[0] = rhs0
-        x = np.linalg.solve(H[:B, :B], rhs)
-        i, j = bi[hrows[:B]], bj[hrows[:B]]
+        x = np.linalg.solve(M, rhs)
+        i, j = bi[:B], bj[:B]
         coeffs = np.zeros((N + 1, N + 1), dtype=complex)
         if swap:
             coeffs[i, j] = coeffs[j, i] = x * to_coeff[:B]
@@ -281,5 +247,5 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
             coeffs[i, j] = x
         p = Poly2(coeffs)
         dist = alpha_norm(p * f - Poly2.constant(1.0), space)
-        out.append(ApproximantResult(N, p, dist, float(hi / lo)))
+        out.append(ApproximantResult(N, p, dist, float(eig[-1] / eig[0])))
     return out

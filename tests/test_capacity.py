@@ -329,6 +329,17 @@ class TestDecayFit:
         with pytest.raises(ValueError):
             decay_fit(line_table(16, 512), shells=3)
 
+    @pytest.mark.parametrize("shells", [1, 0])
+    def test_shells_validated(self, shells):
+        # a line through one shell reads slope 0, through none a NaN residual
+        with pytest.raises(ValueError, match=f"^shells must be at least 2, got shells = {shells}$"):
+            decay_fit(line_table(64), shells)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    def test_tau_validated(self, tau):
+        with pytest.raises(ValueError, match="^tau_claimed must be positive"):
+            decay_fit(line_table(64), 5, tau_claimed=tau)
+
 
 class TestRieszEnergy:
     def test_diagonal_convergent_above_half(self):
@@ -366,6 +377,15 @@ class TestRieszEnergy:
     def test_cutoffs_validated(self):
         with pytest.raises(ValueError):
             riesz_energy(line_table(48, 512), 0.75, [64, 32])
+
+    @pytest.mark.parametrize("cutoffs", [[8, 8, 16, 32, 64], [8, 16, 16, 32, 64]])
+    def test_repeated_cutoff_rejected(self, cutoffs):
+        # a repeat adds a zero increment, which the trend reads as ratio 0:
+        # on 1 + z1 z2 at alpha 0.3 it turned DivergentTrend into Inconclusive
+        tab = line_table(64)
+        assert riesz_energy(tab, 0.3, [8, 16, 32, 64]).verdict is TrendVerdict.DIVERGENT
+        with pytest.raises(ValueError, match="strictly increasing"):
+            riesz_energy(tab, 0.3, cutoffs)
 
 
 class TestTrendVerdict:
@@ -592,6 +612,17 @@ class TestCofactor:
     def test_unexplained_zero_rejected(self, two_minus):
         with pytest.raises(ValueError, match="away from"):
             cofactor_experiment(two_minus, [], 1, 1, 256)
+
+    def test_q_and_N_validated(self, two_minus):
+        zeros = [(1 + 0j, 1 + 0j)]
+        with pytest.raises(ValueError, match="^q must be at least 0, got q = -1$"):
+            cofactor_experiment(two_minus, zeros, -1, 1, 256)
+        with pytest.raises(ValueError, match="^N must be at least 0, got N = -2$"):
+            cofactor_experiment(two_minus, zeros, 1, -2, 256)
+        # zero stays allowed: q = 0 and N = 0 both give Q = 1/f
+        a = cofactor_experiment(two_minus, zeros, 0, 3, 256)
+        b = cofactor_experiment(two_minus, zeros, 1, 0, 256)
+        assert (a.weighted_sums, a.sup_norm) == (b.weighted_sums, b.sup_norm)
 
     def test_grid_validated(self, two_minus):
         with pytest.raises(ValueError):

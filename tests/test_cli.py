@@ -354,6 +354,35 @@ class TestErrors:
         doc = json.loads((tmp_path / "o" / "error.json").read_text())
         assert doc["error"] == problem
 
+    @pytest.mark.parametrize("argv, problem", [
+        (["energy", "--alpha", "0.3", "--cutoffs", "8", "8", "16"],
+         "cutoffs must be strictly increasing and bounded by K"),
+        (["fourier", "--tau", "0"], "tau_claimed must be positive, got tau_claimed = 0.0"),
+        (["fourier", "--tau", "-1"], "tau_claimed must be positive, got tau_claimed = -1.0"),
+        (["fourier", "--shells", "1"], "shells must be at least 2, got shells = 1"),
+        (["fourier", "--shells", "0"], "shells must be at least 2, got shells = 0"),
+        (["cofactor", "--q", "-1"], "q must be at least 0, got q = -1"),
+        (["cofactor", "--N", "-2"], "N must be at least 0, got N = -2"),
+    ], ids=["energy-repeated-cutoff", "fourier-tau0", "fourier-tau-1", "fourier-shells1",
+            "fourier-shells0", "cofactor-q-1", "cofactor-N-2"])
+    def test_numeric_option_out_of_range_named(self, tmp_path, f0_file, finite_file,
+                                               argv, problem):
+        poly = finite_file if argv[0] == "cofactor" else f0_file
+        rc = run(["--out", str(tmp_path / "o"), argv[0], "--poly", poly, *argv[1:]])
+        assert rc == EXIT_NUMERICAL
+        doc = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert doc["error"] == problem
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["error.json"]
+
+    def test_negative_block_size_named(self, tmp_path):
+        u = tmp_path / "u.json"
+        u.write_text("[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]")
+        rc = run(["--out", str(tmp_path / "o"), "detgen", "--size", "-1", "3",
+                  "--unitary", str(u)])
+        assert rc == EXIT_NUMERICAL
+        doc = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert doc["error"] == "block sizes must be at least 0, got n = -1, m = 3"
+
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

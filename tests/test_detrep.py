@@ -47,6 +47,11 @@ class TestPolynomialFromUnitary:
         with pytest.raises(ValueError):
             DetRep(1.0, np.eye(3), 1, 1)
 
+    def test_negative_block_size_rejected(self):
+        # n + m = 2 matches the 2x2 unitary, so only the sign can reject it
+        with pytest.raises(ValueError, match="^block sizes must be at least 0, got n = -1, m = 3$"):
+            DetRep(1.0, np.eye(2), -1, 3)
+
     def test_constant_term_is_scale(self, rng):
         for _ in range(5):
             U = random_unitary(4, rng)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from bicyclic import dirichlet
 from bicyclic.dirichlet import (AlphaSpace, _gram, _support_lattice, _swap_symmetric,
                                 _total_degree_basis, alpha_norm, distance_profile,
                                 optimal_approximant)
@@ -96,6 +97,33 @@ def oracle_design(f, alpha, N):
     target = np.zeros(K * L, dtype=complex)
     target[0] = sw[0]
     return A, target
+
+
+def in_support_lattice(f, i, j) -> bool:
+    """Whether (i, j) lies in the lattice L spanned by the differences of
+    supp f, given by its Hermite basis {(b, c), (a, 0)}."""
+    a, b, c = _support_lattice(f)
+    x = i - (j // c) * b if c else i
+    return (j % c if c else j) == 0 and (x % a if a else x) == 0
+
+
+def solved_design(f, alpha, N):
+    """The columns of `oracle_design` that the profile solves on: the shifts
+    in the home coset L (the coset of (0, 0)), and for f(z2, z1) = +-f(z1, z2)
+    their even combinations (e_ij + e_ji) / |e_ij + e_ji|, i <= j."""
+    A, _ = oracle_design(f, alpha, N)
+    basis = [(t - j, j) for t in range(N + 1) for j in range(t + 1)]
+    home = [b for b, (i, j) in enumerate(basis) if in_support_lattice(f, i, j)]
+    if not _swap_symmetric(f):
+        return A[:, home]
+    index = {bij: b for b, bij in enumerate(basis)}
+    cols = []
+    for b in home:
+        i, j = basis[b]
+        if i <= j:
+            v = A[:, b] + A[:, index[(j, i)]]
+            cols.append(v / np.sqrt(2.0 if i < j else 4.0))
+    return np.stack(cols, axis=1)
 
 
 def brute_force_approximant(f, alpha, N):
@@ -318,11 +346,11 @@ class TestDistanceProfile:
             self.check_every_cap(random_poly(rng, 2, real=True), alpha)
 
     def test_gram_condition_is_design_condition_squared(self, rng):
+        # the condition number of the block the solve factors
         for alpha in (0.0, 1.0):
             f = random_poly(rng, 2)
             for r in distance_profile(f, AlphaSpace(alpha), [0, 3, 6]):
-                A, _ = oracle_design(f, alpha, r.degree_cap)
-                expect = np.linalg.cond(A) ** 2
+                expect = np.linalg.cond(solved_design(f, alpha, r.degree_cap)) ** 2
                 assert abs(r.gram_condition - expect) <= 1e-8 * expect
 
     def test_gram_condition_real_coefficients(self, rng):
@@ -391,15 +419,17 @@ SWAP_SYMMETRIC = {
 
 class TestCosetBlocks:
     """The Gram matrix is block diagonal over the cosets of the lattice of
-    support differences; the blocked profile must agree with a dense
-    eigvalsh / solve on the whole normal matrix."""
+    support differences; the profile solves on the home coset alone and must
+    agree with a dense solve on the whole normal matrix, and its condition
+    number with a dense eigvalsh on the solved block."""
 
     @staticmethod
     def dense_oracle(f, alpha, N):
         A, target = oracle_design(f, alpha, N)
         G = A.conj().T @ A
-        eig = np.linalg.eigvalsh(G)
         c = np.linalg.solve(G, A.conj().T @ target)
+        S = solved_design(f, alpha, N)
+        eig = np.linalg.eigvalsh(S.conj().T @ S)
         return float(np.linalg.norm(A @ c - target)), float(eig[-1] / eig[0]), c
 
     @pytest.mark.parametrize("name", sorted(LATTICE_SPARSE))
@@ -427,20 +457,32 @@ class TestCosetBlocks:
         # p is supported on the shifts b with b - (0, 0) in the lattice
         terms, _ = LATTICE_SPARSE[name]
         f = sparse_poly(terms)
-        a, b, c = _support_lattice(f)
         p = distance_profile(f, AlphaSpace(0.5), [9])[0].approximant
         for (i, j) in zip(*np.nonzero(p.coeffs)):
-            x = i - (j // c) * b if c else i
-            assert (j % c if c else j) == 0 and (x % a if a else x) == 0
+            assert in_support_lattice(f, i, j)
+
+    def test_gram_sees_the_home_coset_only(self, monkeypatch):
+        # 1 + z1 z2 at cap 32: the home coset holds the 17 points (k, k) of
+        # the 561 in the basis, and `_gram` is built on those alone
+        sizes = []
+
+        def counted(f, space, cap, bi, bj):
+            sizes.append(bi.size)
+            return _gram(f, space, cap, bi, bj)
+
+        monkeypatch.setattr(dirichlet, "_gram", counted)
+        distance_profile(Poly2([[1, 0], [0, 1]]), AlphaSpace(0.75), [0, 16, 32])
+        assert sizes == [17]
 
     def test_monomial_gram_is_diagonal(self):
-        # a00 = 0: p = 0 and d_N = 1; G is diagonal, so its condition number
-        # is the spread of the weights w_{i+1} w_{j+2} over the basis
+        # a00 = 0: p = 0 and d_N = 1; G is diagonal, so the condition number
+        # of the solved block is the spread of the weights w_{i+1} w_{j+2}
+        # over the home coset, which for a monomial is (0, 0) alone
         f = Poly2.monomial(1, 2)
         for r in distance_profile(f, AlphaSpace(0.5), [0, 4, 7]):
             N = r.degree_cap
             diag = [((i + 2) * (j + 3)) ** 0.5 for t in range(N + 1) for j in range(t + 1)
-                    for i in [t - j]]
+                    for i in [t - j] if in_support_lattice(f, i, j)]
             assert r.distance == 1.0 and r.approximant.is_zero
             assert abs(r.gram_condition - max(diag) / min(diag)) <= 1e-12 * r.gram_condition
 
@@ -475,9 +517,8 @@ class TestCosetBlocks:
 
     def test_swap_halves_keep_their_arithmetic(self):
         # 2 - z1 - z2 is one coset that the swap maps to itself: the profile
-        # is the same arithmetic as eigvalsh on the leading blocks of G in
-        # the even basis (e_ij + e_ji) / |e_ij + e_ji|, i <= j, and the odd
-        # basis (e_ij - e_ji) / sqrt(2), i < j, and the solve on the even one
+        # is the same arithmetic as eigvalsh and the solve on the leading
+        # blocks of G in the even basis (e_ij + e_ji) / |e_ij + e_ji|, i <= j
         f = Poly2([[2, -1], [-1, 0]])
         space, cap = AlphaSpace(0.75), 8
         assert _support_lattice(f) == (1, 0, 1) and _swap_symmetric(f)
@@ -486,23 +527,15 @@ class TestCosetBlocks:
         index = {b: k for k, b in enumerate(basis)}
         mirror = np.array([index[(j, i)] for (i, j) in basis])
         even = np.array([k for k, (i, j) in enumerate(basis) if i <= j])
-        odd = np.array([k for k, (i, j) in enumerate(basis) if i < j])
         # |e_ij + e_ji| = 2^a: a = 1 on the diagonal, 1/2 off it
         a = np.array([1.0 if basis[k][0] == basis[k][1] else 0.5 for k in even])
         rows = G[even] + G[mirror[even]]
         E = (rows[:, even] + rows[:, mirror[even]]) * 0.5 ** np.add.outer(a, a)
-        rows = G[odd] - G[mirror[odd]]
-        O = (rows[:, odd] - rows[:, mirror[odd]]) * 0.5
         for r in distance_profile(f, space, [0, 4, 8]):
             N = r.degree_cap
-            lo, hi = np.inf, 0.0
-            for M, members in ((E, even), (O, odd)):
-                B = sum(sum(basis[k]) <= N for k in members)
-                if B:
-                    eig = np.linalg.eigvalsh(M[:B, :B])
-                    lo, hi = min(lo, eig[0]), max(hi, eig[-1])
-            assert r.gram_condition == float(hi / lo)
             B = sum(sum(basis[k]) <= N for k in even)
+            eig = np.linalg.eigvalsh(E[:B, :B])
+            assert r.gram_condition == float(eig[-1] / eig[0])
             rhs = np.zeros(B)
             rhs[0] = 2.0
             x = np.linalg.solve(E[:B, :B], rhs) * np.where(a[:B] == 1.0, 1.0, np.sqrt(0.5))
@@ -518,9 +551,8 @@ class TestCosetBlocks:
     @pytest.mark.parametrize("variant", ["as given", "unimodular", "random complex"])
     @pytest.mark.parametrize("alpha", [0.25, 1.0])
     def test_swap_profile_matches_dense_oracle(self, name, variant, alpha):
-        # even/odd halves of self-mirrored cosets, one eigvalsh per mirrored
-        # pair of cosets, and the solve on the even half, against the dense
-        # eigvalsh / solve on the whole normal matrix
+        # the solve on the even half of the home coset, against the dense
+        # solve on the whole normal matrix and eigvalsh on the even half
         terms, sign = SWAP_SYMMETRIC[name]
         if variant == "random complex":
             rng = np.random.default_rng(len(name))

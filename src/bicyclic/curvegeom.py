@@ -122,6 +122,11 @@ def _detect_periodicity(t: np.ndarray, m: np.ndarray,
     return False, 0
 
 
+def _check_nodes(nodes: int) -> None:
+    if nodes < 8:
+        raise ValueError("need at least 8 nodes")
+
+
 def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
                  start_hint: float | None = None) -> CurveBranch:
     """Trace one branch of Z(f) on the torus over the parameter window.
@@ -134,8 +139,7 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
     a traced node where |f| exceeds ZERO_VALUE_TOL times the scale raises
     an error naming the node or the residual.
     """
-    if nodes < 8:
-        raise ValueError("need at least 8 nodes")
+    _check_nodes(nodes)
     t0, t1 = float(t_window[0]), float(t_window[1])
     if t1 <= t0:
         raise ValueError("empty parameter window")
@@ -282,6 +286,7 @@ def curve_type_at(branch: CurveBranch, t: float, max_order: int = 5) -> TypeRepo
 
 def _centered_window(center: float, half_width: float, nodes: int) -> tuple[float, float]:
     # even node counts place `center` exactly on the grid
+    _check_nodes(nodes)
     h = 2 * half_width / nodes
     return (center - (nodes // 2) * h, center + (nodes - nodes // 2) * h)
 

@@ -38,6 +38,8 @@ class DetRep:
     def __post_init__(self):
         if self.n < 0 or self.m < 0:
             raise ValueError(f"block sizes must be at least 0, got n = {self.n}, m = {self.m}")
+        if self.c == 0:
+            raise ValueError("scale must be nonzero, got c = 0")
         U = np.asarray(self.U, dtype=complex)
         size = self.n + self.m
         if U.shape != (size, size):

@@ -320,6 +320,24 @@ class MobiusParams:
             raise ValueError("Mobius parameters must lie strictly inside the unit disk")
 
 
+def mobius_basis(alpha: complex, deg: int) -> np.ndarray:
+    """The read-only (deg+1, deg+1) matrix whose row k holds the low-first
+    coefficients of (alpha - z)^k (1 - conj(alpha) z)^(deg - k): the
+    cleared-denominator composition of a degree-deg polynomial with the
+    involution z -> (alpha - z)/(1 - conj(alpha) z), coefficient row by row."""
+    num = [np.array([1.0 + 0j])]
+    den = [np.array([1.0 + 0j])]
+    for _ in range(deg):
+        num.append(np.convolve(num[-1], np.array([alpha, -1.0])))
+        den.append(np.convolve(den[-1], np.array([1.0, -np.conj(alpha)])))
+    T = np.zeros((deg + 1, deg + 1), dtype=complex)
+    for k in range(deg + 1):
+        c = np.convolve(num[k], den[deg - k])
+        T[k, : c.size] = c
+    T.flags.writeable = False
+    return T
+
+
 def mobius_numerator(f: Poly2, params: MobiusParams) -> Poly2:
     """Cleared-denominator Mobius composition.
 
@@ -327,22 +345,8 @@ def mobius_numerator(f: Poly2, params: MobiusParams) -> Poly2:
     (b-z2)/(1-conj(b)z2)), a polynomial of bidegree at most (n, m).
     """
     n, m = f.bidegree
-
-    def basis(alpha: complex, deg: int) -> np.ndarray:
-        # row k: coefficients of (alpha - z)^k (1 - conj(alpha) z)^(deg - k)
-        num = [np.array([1.0 + 0j])]
-        den = [np.array([1.0 + 0j])]
-        for _ in range(deg):
-            num.append(np.convolve(num[-1], np.array([alpha, -1.0])))
-            den.append(np.convolve(den[-1], np.array([1.0, -np.conj(alpha)])))
-        T = np.zeros((deg + 1, deg + 1), dtype=complex)
-        for k in range(deg + 1):
-            c = np.convolve(num[k], den[deg - k])
-            T[k, : c.size] = c
-        return T
-
-    T1 = basis(complex(params.a), n)
-    T2 = basis(complex(params.b), m)
+    T1 = mobius_basis(complex(params.a), n)
+    T2 = mobius_basis(complex(params.b), m)
     out = np.einsum("kl,ki,lj->ij", f.coeffs, T1, T2)
     return Poly2(out)
 

@@ -3,30 +3,25 @@
 One slice engine decides both questions for a bivariate f.  The circle
 slice p_t = f(e^{it}, .) has the Schur-Cohn matrix M(t) = A*A - B*B, whose
 negative eigenvalues count its roots in the disk (Schur-Cohn-Fujiwara), and
-which is singular exactly where p_t shares a root with its reflection.  f
-has no zero in the open bidisk iff f(., 0) has none in the disk and M(t) is
-positive semidefinite for every t; one eigenvalue test per arc between the
-angles of the roots of the z2-resultant of f and f~ - lambda f decides this.
-`poly2.unimodular_reflection_match` gives lambda and decides whether every
-slice is self-inversive (f~ = lambda f); then M vanishes and Cohn's
-criterion (all roots on the circle iff the derivative's roots lie in the
-closed disk) gives the same test on the reflection of df/dz2.  On a
-zero-free f the smallest eigenvalue touches zero at the torus zeros.  Those
-touch points are the sign changes d < 0 -> d >= 0 of its slope v* M' v,
-bracketed on the resultant-root angles and the quarter points of their arcs
-and refined by a vectorised ITP (interpolate-truncate-project) search,
-superlinear on a smooth slope and never taking more steps than bisection of
-the circle to TOUCH_WIDTH.  The search reads M from a table: the Toeplitz
-factors A, B are trigonometric polynomials in t, so M is one too,
-M(t) = sum_{d=-n..n} M_d e^{idt}, with the M_d built once per factor.  M at
-a batch of angles is then one matmul with the phases e^{idt}, and the exact
-derivative M'(t) comes from the same table and matmul with the weights i d.
-The eigenvalue tests against the rounding band stay on the product form,
-whose rounding the band covers.  The torus points are the slice roots at
-the touch points from `poly2.unimodular_slice_roots` with
-|f| <= ZERO_VALUE_TOL * scale, points closer than SAME_POINT_TOL merged.
-The torus classification is the empty / finite / curve trichotomy for an
-irreducible f.
+which is singular exactly where p_t shares a root with its reflection.  A
+and B are trigonometric polynomials in t, so M is one too:
+M(t) = sum_{d=-n..n} M_d e^{idt}, the M_d (the table) built once per
+factor.  f has no zero in the open bidisk iff f(., 0) has none in the disk
+and M(t) is positive semidefinite for every t; one eigenvalue test per arc
+between the angles of the 2nm eigenvalues of z^n M(t), a matrix polynomial
+in z = e^{it}, decides this.  Where M(t) is singular at every t, f shares a
+factor with its reflection, which a rank test off the circle detects.  When
+every slice is self-inversive, as when f~ = lambda f
+(`poly2.unimodular_reflection_match`), M vanishes and Cohn's criterion (all
+roots on the circle iff the derivative's roots lie in the closed disk)
+gives the same test on the reflection of df/dz2.  On a zero-free f the
+smallest eigenvalue touches zero at the torus zeros: the sign changes
+d < 0 -> d >= 0 of its slope v* M' v, bracketed on the eigenvalue angles and
+the quarter points of their arcs and refined by a vectorised ITP search
+that reads M and M'(t) = sum_d i d M_d e^{idt} from the table.  The torus
+points are the slice roots there from `poly2.unimodular_slice_roots` with
+|f| <= ZERO_VALUE_TOL * scale, points closer than SAME_POINT_TOL merged:
+the empty / finite / curve trichotomy for an irreducible f.
 """
 from __future__ import annotations
 
@@ -38,10 +33,13 @@ import numpy as np
 
 from ._roots import newton_polish, roots_low_first
 from .poly2 import (SAME_POINT_TOL, SYMMETRY_TOL, ZERO_VALUE_TOL, Poly2,
-                    UnimodularMatch, complex_to_pair, slice_rows, sylvester_resultant_z2,
+                    UnimodularMatch, complex_to_pair, mobius_basis, slice_rows,
                     unimodular_reflection_match, unimodular_slice_roots)
 
 OPEN_MARGIN = 1e-7          # modulus band separating open from boundary roots
+RANK_BAND = 1e-10           # sigma_min <= band * sigma_max: M is singular off the circle
+_SHIFTS = (0.3 + 0.2j, -0.25 + 0.35j, 0.1 - 0.4j)   # M is tested at z = 1 / conj(s)
+_mobius_basis = functools.lru_cache(maxsize=64)(mobius_basis)   # once per shift and degree
 
 # a Schur-Cohn eigenvalue below -_EIG_BAND * ||slice row||_1^2 is negative
 # beyond the rounding of the products that form M = A*A - B*B.  It does not
@@ -171,30 +169,33 @@ def _arc_points(angles: np.ndarray, fractions=(0.5,)) -> np.ndarray:
 
 
 def _crossing_angles(f: Poly2):
-    """The reflection match of f, with (sorted angles, count) of the roots
-    of the z2-resultant of f and the defect g = f~ - lambda f of that
-    match; None in place of the angles when every circle slice is
-    self-inversive (the match holds)."""
+    """The reflection match of f, with (sorted angles, table): f's table and
+    the angles of the 2nm eigenvalues of P(z) = sum_k table[k] z^k, from the
+    block companion of P after z = (s - w)/(1 - conj(s) w), which maps the
+    circle to itself; None when every slice is self-inversive (the match
+    holds or the table vanishes).  The companion's leading coefficient is
+    M off the circle, conj(s)^{2n} P(1/conj(s)): f shares a factor with
+    f~ when it is singular at every shift."""
     match = unimodular_reflection_match(f)
-    if match.matches:
+    table = None if match.matches else _schur_cohn_table(f.coeffs / f.scale)
+    if table is None or np.abs(table).max() <= SYMMETRY_TOL:
         return match, None
-    # Res(f, g) equals Res(f, f~) at equal degree, but stays far from the
-    # zero test when f~ is close to a multiple of f
-    res = sylvester_resultant_z2(f, Poly2(match.defect))
-    if res.size == 1 and res[0] == 0:
-        # M(t) has degree n in t: it vanishes iff it does at 2n+1 points
-        n = f.bidegree[0]
-        nodes = np.exp(2j * np.pi * np.arange(2 * n + 1) / (2 * n + 1))
-        rows = slice_rows(f.coeffs / f.scale, nodes)
-        if np.abs(_schur_cohn(rows)).max() > SYMMETRY_TOL:
-            raise ValueError(
-                "input not irreducible: f and its reflection share a factor "
-                "although the reflection is not a unimodular multiple of f")
-        return match, None
-    roots = roots_low_first(res)
-    # with no crossing the circle is one arc; cut it at 0
-    angles = np.sort(np.angle(roots) % (2 * np.pi)) if roots.size else np.zeros(1)
-    return match, (angles, int(roots.size))
+    D, m = table.shape[0] - 1, table.shape[1]
+    for s in _SHIFTS:
+        Q = np.tensordot(_mobius_basis(s, D), table, axes=(0, 0))
+        if np.linalg.cond(Q[D]) < 1 / RANK_BAND:
+            break
+    else:
+        raise ValueError("input not irreducible: f and its reflection share a factor "
+                         "although the reflection is not a unimodular multiple of f")
+    # the block companion of Q(w) = sum_j Q[j] w^j, whose last block column
+    # holds -Q[D]^{-1} Q[j] for j < D
+    C = np.eye(D * m, k=-m, dtype=complex)
+    C[:, -m:] = -np.linalg.solve(Q[D], Q[:D]).reshape(D * m, m)
+    w = np.linalg.eigvals(C)
+    # the angle of z = (s - w)/(1 - conj(s) w), without the division
+    angles = np.angle((s - w) * np.conj(1 - np.conj(s) * w)) % (2 * np.pi)
+    return match, (np.sort(angles), table)
 
 
 def _most_negative(a: np.ndarray, ts: np.ndarray) -> float | None:
@@ -310,17 +311,16 @@ def _slice_engine(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
         points, vanishing = _torus_points(f, np.zeros(1))
         torus = TorusZeroSet(TorusZeroKind.CURVE, symmetry=match)
     else:
-        angles, candidates = crossing
+        angles, table = crossing
         t_neg = _most_negative(a, _arc_points(angles))
-        # on a zero-free f every torus zero is a tangential contact, found as a
-        # touch point; where f has open zeros, slice roots also cross the
-        # circle transversally, at simple resultant roots
-        ts = _touch_points(_schur_cohn_table(a), angles)
+        # on a zero-free f every torus zero is a touch point; where f has open
+        # zeros, slice roots also cross the circle at simple crossing angles
+        ts = _touch_points(table, angles)
         if t_neg is not None:
             ts = np.concatenate([ts, angles])
         points, vanishing = _torus_points(f, ts)
         torus = TorusZeroSet(TorusZeroKind.FINITE if points else TorusZeroKind.EMPTY,
-                             points=tuple(points), candidates_checked=candidates)
+                             points=tuple(points), candidates_checked=int(angles.size))
     if witness is None and t_neg is not None:
         witness = _open_witness(f, t_neg)
     has_open = t_neg is not None or witness is not None

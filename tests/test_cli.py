@@ -374,6 +374,51 @@ class TestErrors:
         assert doc["error"] == problem
         assert [p.name for p in (tmp_path / "o").iterdir()] == ["error.json"]
 
+    # every numeric option at 0 and at -1: the exit code of each, where 0
+    # means the value is valid; "P" is a polynomial file, "U" a unitary
+    @pytest.mark.parametrize("argv, codes", [
+        (["--seed", "V", "reproduce-paper"], (0, 70)),
+        (["classify", "--factors", "P", "--alpha", "V"], (0, 0)),
+        (["classify", "--factors", "P", "--alpha", "0.5", "--caps", "V"], (0, 70)),
+        (["approximant", "--poly", "P", "--alpha", "V"], (0, 0)),
+        (["approximant", "--poly", "P", "--alpha", "0.5", "--caps", "V"], (0, 70)),
+        (["detgen", "--size", "V", "V", "--unitary", "U"], (70, 70)),
+        # with --scale-im at its default 0, --scale-re 0 is the scale c = 0
+        (["detgen", "--size", "1", "1", "--unitary", "U", "--scale-re", "V"], (70, 0)),
+        (["detgen", "--size", "1", "1", "--unitary", "U", "--scale-im", "V"], (0, 0)),
+        (["curve-type", "--poly", "P", "--t", "V"], (0, 0)),
+        (["curve-type", "--poly", "P", "--t", "0", "--half-width", "V"], (70, 70)),
+        (["curve-type", "--poly", "P", "--t", "0", "--nodes", "V"], (70, 70)),
+        (["curve-type", "--poly", "P", "--t", "0", "--max-order", "V"], (70, 70)),
+        (["fourier", "--poly", "P", "--K", "V"], (0, 70)),
+        (["fourier", "--poly", "P", "--shells", "V"], (70, 70)),
+        (["fourier", "--poly", "P", "--tau", "V"], (70, 70)),
+        (["energy", "--poly", "P", "--alpha", "0.5", "--K", "V"], (70, 70)),
+        (["energy", "--poly", "P", "--alpha", "V"], (70, 70)),
+        (["energy", "--poly", "P", "--alpha", "0.5", "--cutoffs", "V"], (70, 70)),
+        (["certificate", "--poly", "P", "--alpha", "V"], (70, 70)),
+        (["certificate", "--poly", "P", "--alpha", "0.75", "--K", "V"], (70, 70)),
+        (["cofactor", "--poly", "P", "--q", "V"], (0, 70)),
+        (["cofactor", "--poly", "P", "--N", "V"], (0, 70)),
+        (["cofactor", "--poly", "P", "--grid", "V"], (70, 70)),
+    ], ids=["seed", "classify-alpha", "classify-caps", "approximant-alpha", "approximant-caps",
+            "detgen-size", "detgen-scale-re", "detgen-scale-im", "curve-type-t",
+            "curve-type-half-width", "curve-type-nodes", "curve-type-max-order", "fourier-K",
+            "fourier-shells", "fourier-tau", "energy-K", "energy-alpha", "energy-cutoffs",
+            "certificate-alpha", "certificate-K", "cofactor-q", "cofactor-N", "cofactor-grid"])
+    def test_zero_and_negative_numeric_options(self, tmp_path, argv, codes):
+        # a zero-free factor for classify, the finite-zero line for cofactor,
+        # the curve 1 + z1 z2 elsewhere
+        grid = {"classify": [[3, 1], [1, 0]], "cofactor": [[2, -1], [-1, 0]]}.get(
+            argv[0], [[1, 0], [0, 1]])
+        files = {"P": write_poly(tmp_path / "p.json", grid), "U": str(tmp_path / "u.json")}
+        (tmp_path / "u.json").write_text("[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]")
+        for value, code in zip(("0", "-1"), codes):
+            out = tmp_path / f"o{value}"
+            args = [files.get(a, value if a == "V" else a) for a in argv]
+            assert run(["--out", str(out), *args]) == code, value
+            assert (out / "error.json").exists() == (code == EXIT_NUMERICAL), value
+
     def test_negative_block_size_named(self, tmp_path):
         u = tmp_path / "u.json"
         u.write_text("[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]")

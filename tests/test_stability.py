@@ -7,7 +7,8 @@ from bicyclic import stability
 from bicyclic.classifier import Threshold, classify
 from bicyclic.curvegeom import fa_poly
 from bicyclic.detrep import DetRep, polynomial_from_unitary, random_unitary
-from bicyclic.poly2 import Poly2, slice_rows
+from bicyclic._roots import roots_low_first
+from bicyclic.poly2 import CIRCLE_BAND, Poly2, slice_rows, sylvester_resultant_z2
 from bicyclic.stability import (TorusZeroKind, bidisk_zero_scan,
                                 torus_zero_classification, zero_reports)
 
@@ -203,9 +204,11 @@ class TestTorusClassification:
 
     def test_reducible_detected(self, two_minus, f0):
         # f = (2 - z1 - z2)(1 + z1 z2) shares the symmetric factor with its
-        # reflection without being symmetric itself
-        with pytest.raises(ValueError, match="not irreducible"):
-            torus_zero_classification(two_minus * f0)
+        # reflection without being symmetric itself; so do the products
+        # with f_0.5, where M(t) is singular at every t as well
+        for f in (two_minus * f0, two_minus * fa_poly(0.5), f0 * radial(fa_poly(0.5), 0.9)):
+            with pytest.raises(ValueError, match="not irreducible"):
+                torus_zero_classification(f)
 
     def test_fa_curve(self):
         for a in (0.25, 0.5, 0.75):
@@ -309,6 +312,18 @@ class TestSliceEngine:
         for f in polys:
             assert classify([radial(f, r)]).threshold is expected
 
+    def test_bidegree_twelve_by_construction(self):
+        # c det(I - U diag(z1 I_n, z2 I_m)) vanishes on a torus curve and
+        # nowhere in the open bidisk; f(r z) is zero-free on the closed
+        # bidisk for r < 1 and has open zeros for r > 1
+        rng = np.random.default_rng(0)
+        truth = {1.0: Threshold.CYCLIC_IFF_ALPHA_LEQ_HALF, 0.95: Threshold.CYCLIC_ALL_ALPHA,
+                 1 / 0.95: Threshold.NOT_CYCLIC_ANY_ALPHA}
+        for n, m in [(12, 12), (12, 11)]:
+            f = polynomial_from_unitary(DetRep(1.0, random_unitary(n + m, rng), n, m))
+            for r, expected in truth.items():
+                assert classify([radial(f, r)]).threshold is expected
+
 
 def _invariance_input(kind, k, seed):
     rng = np.random.default_rng(seed)
@@ -361,6 +376,22 @@ def _touch_families():
 # 2 - e^{i theta} z1 - z2 comes out as two equal crossing angles
 _DOUBLE_ANGLE_THETAS = np.concatenate([np.logspace(-14, -1, 40), -np.logspace(-14, -1, 40),
                                        np.pi + np.logspace(-12, -2, 12)])
+
+
+class TestCrossingAngles:
+    def test_match_resultant_roots(self):
+        # every unimodular root of the reference Res_{z2}(f, f~ - lambda f)
+        # is an eigenvalue of the table's matrix polynomial, which has 2nm
+        rng = np.random.default_rng(21)
+        for n in range(1, 6):
+            for _ in range(4):
+                f = Poly2(rng.standard_normal((n + 1, n + 1))
+                          + 1j * rng.standard_normal((n + 1, n + 1)))
+                match, (angles, _) = stability._crossing_angles(f)
+                assert angles.size == 2 * n * n
+                roots = roots_low_first(sylvester_resultant_z2(f, Poly2(match.defect)))
+                for t in np.angle(roots[np.abs(np.abs(roots) - 1) <= CIRCLE_BAND]):
+                    assert np.abs((angles - t + np.pi) % (2 * np.pi) - np.pi).min() <= 1e-10
 
 
 class TestTouchSearch:
@@ -471,9 +502,16 @@ class TestSchurCohnTable:
             built.clear()
             zero_reports(f)
             assert len(built) == 1 and np.array_equal(built[0], f.coeffs / f.scale)
-        # self-inversive slices run no touch search, so they build none
-        U = random_unitary(4, np.random.default_rng(2))
-        for f in (fa_poly(0.5), polynomial_from_unitary(DetRep(1.0, U, 2, 2))):
+        # self-inversive slices run no touch search: the curve route builds
+        # one table, of the reflected df/dz2, for its crossing angles
+        rng = np.random.default_rng(2)
+        for n, m in [(2, 2), (1, 3), (3, 2)]:
+            f = polynomial_from_unitary(DetRep(1.0, random_unitary(n + m, rng), n, m))
+            h = f.partial_derivative(2).reflect()
             built.clear()
             zero_reports(f)
-            assert not built
+            assert len(built) == 1 and np.array_equal(built[0], h.coeffs / h.scale)
+        # and none where that derivative is constant in z2, as on f_0.5
+        built.clear()
+        zero_reports(fa_poly(0.5))
+        assert not built

@@ -139,8 +139,11 @@ def classify_with_evidence(factors, alphas, degree_caps,
     """classify plus distance profiles and, where applicable, energy evidence.
 
     Profiles are computed for the product polynomial at each alpha; when the
-    verdict is the curve case and alpha exceeds one half, a non-cyclicity
-    certificate is attached for the first curve factor.  Evidence that
+    verdict is the curve case and 1/2 < alpha <= 1, a non-cyclicity
+    certificate is attached for the first curve factor.  Above 1 the
+    truncated energy of every probability measure converges, so no
+    certificate is attached there; non-cyclicity at alpha = 1 already gives
+    it for every larger alpha, since D_alpha embeds in D_1.  Evidence that
     disagrees with the algebraic verdict is flagged, never substituted.
     """
     # each is read more than once, so a generator must not be used up
@@ -166,7 +169,7 @@ def classify_with_evidence(factors, alphas, degree_caps,
             flags.append(f"distance profile not monotone at alpha={alpha}")
         cert = None
         if (verdict.threshold is Threshold.CYCLIC_IFF_ALPHA_LEQ_HALF
-                and alpha > 0.5 and curve_factor is not None):
+                and 0.5 < alpha <= 1.0 and curve_factor is not None):
             cert = noncyclicity_certificate(curve_factor, alpha, K=certificate_K)
             if cert.verdict is not TrendVerdict.CONVERGENT:
                 flags.append(

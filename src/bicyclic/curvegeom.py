@@ -109,19 +109,6 @@ class CurveBranch:
         return resid <= AFFINE_TOL * max(1.0, float(np.abs(self.m).max()))
 
 
-def _detect_periodicity(t: np.ndarray, m: np.ndarray,
-                        window: tuple[float, float]) -> tuple[bool, int]:
-    span = window[1] - window[0]
-    if abs(span - TWO_PI) > 1e-9:
-        return False, 0
-    # linear extrapolation one step beyond the last node
-    m_next = 2 * m[-1] - m[-2]
-    w = round((m_next - m[0]) / TWO_PI)
-    if abs(m_next - m[0] - TWO_PI * w) < 0.05:
-        return True, int(w)
-    return False, 0
-
-
 def _check_nodes(nodes: int) -> None:
     if nodes < 8:
         raise ValueError("need at least 8 nodes")
@@ -135,9 +122,12 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
     `poly2.unimodular_slice_roots`; the branch is selected by continuity
     (nearest argument to the previous node, seeded by `start_hint` or the
     smallest principal argument).  The arguments are unwrapped to a
-    continuous m(t).  A node without a unimodular root, colliding roots, or
-    a traced node where |f| exceeds ZERO_VALUE_TOL times the scale raises
-    an error naming the node or the residual.
+    continuous m(t).  Over a full window of length 2 pi the branch is
+    periodic iff one more step of the same rule, past the last node, picks
+    node 0's root; its winding is then the unwrapped m there, less m(t0),
+    over 2 pi.  A node without a unimodular root, colliding roots, or a
+    traced node where |f| exceeds ZERO_VALUE_TOL times the scale raises an
+    error naming the node or the residual.
     """
     _check_nodes(nodes)
     t0, t1 = float(t_window[0]), float(t_window[1])
@@ -168,6 +158,7 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
             else:
                 target = cmath.exp(1j * start_hint)
                 j = min(range(lo, hi), key=lambda r: abs(roots[r] - target))
+            first = j
         else:
             predicted = cmath.exp(1j * (prev + slope * h))
             j = min(range(lo, hi), key=lambda r: abs(roots[r] - predicted))
@@ -185,13 +176,18 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
         prev = arg
     m = np.array(m)
 
+    # closure: one more step of the selection, past the last node, at node 0
+    m_next = prev + slope * h
+    periodic = abs(t1 - t0 - TWO_PI) <= 1e-9 and first == min(
+        range(ends[0]), key=lambda r: abs(roots[r] - cmath.exp(1j * m_next)))
+    winding = round((m_next - m[0]) / TWO_PI) if periodic else 0
+
     # on-curve validation
     vals = np.abs(f(np.exp(1j * t), np.exp(1j * m)))
     worst = float(vals.max())
     if worst > ZERO_VALUE_TOL * f.scale:
         raise ValueError(f"traced branch leaves the zero set (max |f| = {worst:.3e})")
 
-    periodic, winding = _detect_periodicity(t, m, (t0, t1))
     branch = CurveBranch(t=t, m=m, dm=np.zeros(nodes), d2m=np.zeros(nodes),
                          d3m=np.zeros(nodes), periodic=periodic, winding=winding)
     object.__setattr__(branch, "dm", branch.derivative_grid(1))

@@ -2,8 +2,8 @@
 
 Generates polynomials from unitaries by determinant evaluation on a tensor
 grid of roots of unity followed by an inverse 2-D DFT, checks the
-decomposition identity behind the representation on random bidisk samples,
-and reconstructs the unitary from a valid vector-polynomial pair by an
+decomposition identity behind the representation by its coefficients, and
+reconstructs the unitary from a valid vector-polynomial pair by an
 orthogonal Procrustes fit over traced zero-set samples.
 
 The general construction of the vector pair from f is out of scope; pairs
@@ -23,7 +23,6 @@ from .poly2 import (Poly2, coeff_distance, complex_from_pair, compute_h,
 
 UNITARITY_TOL = 1e-10
 INNER_RADIUS_TOL = 1e-8     # a det P root below 1 - tol lies inside the disk
-AGLER_SAMPLES = 200         # random (z, w) pairs verify_agler_identity checks
 
 
 @dataclass(frozen=True)
@@ -128,14 +127,20 @@ class AglerPair:
         return Pv, Qv
 
 
-def verify_agler_identity(f: Poly2, pair: AglerPair) -> float:
-    """Max residual of the two-kernel decomposition on random bidisk pairs.
+def _kernel(grids: np.ndarray) -> np.ndarray:
+    """Coefficients of sum_i g_i(z) conj(g_i(w)) in z^a conj(w)^b, for a
+    stack of coefficient grids g_i: shape grid.shape + grid.shape."""
+    return np.einsum("iab,icd->abcd", grids, np.conj(grids))
 
-    Checks ht(z) conj(ht(w)) - h(z) conj(h(w)) =
+
+def verify_agler_identity(f: Poly2, pair: AglerPair) -> float:
+    """Max coefficient residual of the two-kernel decomposition.
+
+    Compares ht(z) conj(ht(w)) - h(z) conj(h(w)) with
     (1 - z1 conj(w1)) P(w)* P(z) + (1 - z2 conj(w2)) Q(w)* Q(z)
-    at AGLER_SAMPLES random (z, w) in the open bidisk, drawn from
-    default_rng(0), where h = z1 d1 f + z2 d2 f and ht is its reflection at
-    the bidegree of f.
+    coefficient by coefficient in z^a conj(w)^b, a and b up to the
+    bidegree of f, where h = z1 d1 f + z2 d2 f and ht is its reflection at
+    the bidegree of f.  The identity holds iff the residual is zero.
     """
     n, m = f.bidegree
     if pair.n != n or pair.m != m:
@@ -143,22 +148,17 @@ def verify_agler_identity(f: Poly2, pair: AglerPair) -> float:
     match = unimodular_reflection_match(f)
     if not match.matches or abs(match.lam - 1.0) > 1e-6:
         raise ValueError("f must satisfy f~ = f (normalize first)")
-    rng = np.random.default_rng(0)
-    h = compute_h(f)
-    ht = h.reflect(bidegree=(n, m))  # reflect at the bidegree of f
-
-    shape = (AGLER_SAMPLES, 2)
-    z = 0.9 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)) / np.sqrt(2)
-    w = 0.9 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)) / np.sqrt(2)
-
-    hz, hw = h(z[:, 0], z[:, 1]), h(w[:, 0], w[:, 1])
-    htz, htw = ht(z[:, 0], z[:, 1]), ht(w[:, 0], w[:, 1])
-    lhs = htz * np.conj(htw) - hz * np.conj(hw)
-
-    Pz, Qz = pair.evaluate(z[:, 0], z[:, 1])
-    Pw, Qw = pair.evaluate(w[:, 0], w[:, 1])
-    rhs = ((1 - z[:, 0] * np.conj(w[:, 0])) * np.sum(np.conj(Pw) * Pz, axis=0)
-           + (1 - z[:, 1] * np.conj(w[:, 1])) * np.sum(np.conj(Qw) * Qz, axis=0))
+    shape = (n + 1, m + 1)
+    v = compute_h(f).padded(shape)
+    u = np.conj(v[::-1, ::-1])      # the reflection of h at the bidegree of f
+    lhs = _kernel(u[None]) - _kernel(v[None])
+    KP = _kernel(np.array([p.padded(shape) for p in pair.P]))
+    KQ = _kernel(np.array([q.padded(shape) for q in pair.Q]))
+    # the factors 1 - z_j conj(w_j) shift a kernel by e_j in z and in w;
+    # P has no z1^n term and Q no z2^m term, so nothing leaves the grid
+    rhs = KP + KQ
+    rhs[1:, :, 1:, :] -= KP[:-1, :, :-1, :]
+    rhs[:, 1:, :, 1:] -= KQ[:, :-1, :, :-1]
     return float(np.abs(lhs - rhs).max())
 
 

@@ -14,7 +14,9 @@ factor with its reflection, which a rank test off the circle detects.  When
 every slice is self-inversive, as when f~ = lambda f
 (`poly2.unimodular_reflection_match`), M vanishes and Cohn's criterion (all
 roots on the circle iff the derivative's roots lie in the closed disk)
-gives the same test on the reflection of df/dz2.  On a zero-free f the
+gives the same test on the reflection of df/dz2.  A torus zero makes M(t)
+singular, so its t is one of the eigenvalue angles: on an f with open
+zeros the torus zeros are read at those angles.  On a zero-free f the
 smallest eigenvalue touches zero at the torus zeros: the sign changes
 d < 0 -> d >= 0 of its slope v* M' v, bracketed on the eigenvalue angles and
 the quarter points of their arcs and refined by a vectorised ITP search
@@ -313,11 +315,9 @@ def _slice_engine(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
     else:
         angles, table = crossing
         t_neg = _most_negative(a, _arc_points(angles))
-        # on a zero-free f every torus zero is a touch point; where f has open
-        # zeros, slice roots also cross the circle at simple crossing angles
-        ts = _touch_points(table, angles)
-        if t_neg is not None:
-            ts = np.concatenate([ts, angles])
+        # a torus zero makes M(t) singular, so t is a crossing angle; on a
+        # zero-free f the touch search sharpens it where the angle is double
+        ts = angles if t_neg is not None else _touch_points(table, angles)
         points, vanishing = _torus_points(f, ts)
         torus = TorusZeroSet(TorusZeroKind.FINITE if points else TorusZeroKind.EMPTY,
                              points=tuple(points), candidates_checked=int(angles.size))

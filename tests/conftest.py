@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bicyclic.curvegeom import TWO_PI, CurveBranch, _detect_periodicity
+from bicyclic.curvegeom import TWO_PI, CurveBranch
 from bicyclic.poly2 import Poly2
 
 
@@ -77,6 +77,8 @@ def closed_form_branch_fa(a: float, t_window: tuple[float, float] = (0.0, TWO_PI
     d2m = 2 * a * (1.0 - a * a) * np.sin(t) / D ** 2
     d3m = 2 * a * (1.0 - a * a) * (np.cos(t) * D + 4 * a * np.sin(t) ** 2) / D ** 3
 
-    periodic, winding = _detect_periodicity(t, m, (t0, t1))
+    # z1 -> z2 maps the circle onto itself with degree -1, so over a full
+    # window m falls by exactly 2 pi
+    periodic = abs(t1 - t0 - TWO_PI) <= 1e-9
     return CurveBranch(t=t, m=m, dm=dm, d2m=d2m, d3m=d3m,
-                       periodic=periodic, winding=winding)
+                       periodic=periodic, winding=-1 if periodic else 0)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from bicyclic.cli import EXIT_NUMERICAL, _build_parser, run
-from bicyclic.poly2 import Poly2
+from bicyclic.detrep import DetRep, polynomial_from_unitary, random_unitary
+from bicyclic.poly2 import Poly2, unimodular_reflection_match
 from conftest import f_eps
 
 
@@ -46,6 +47,18 @@ class TestClassify:
         assert rc == 4
         doc = json.loads((tmp_path / "o" / "verdict.json").read_text())
         assert len(doc["verdict"]["evidence"]) == 1
+
+    def test_evidence_above_one_has_no_certificate(self, tmp_path):
+        # the energy of every measure converges above alpha = 1: no certificate
+        fa = write_poly(tmp_path / "fa05.json", [[1, -0.5], [-0.5, 1]])
+        rc = run(["--out", str(tmp_path / "o"), "classify", "--factors", fa,
+                  "--alpha", "0.25", "1.5", "--caps", "0", "4"])
+        assert rc == 4
+        doc = json.loads((tmp_path / "o" / "verdict.json").read_text())
+        evidence = doc["verdict"]["evidence"]
+        assert [e["alpha"] for e in evidence] == [0.25, 1.5]
+        assert all(len(e["profile"]) == 2 for e in evidence)
+        assert evidence[1]["certificate"] is None
 
     def test_csv_written(self, tmp_path, finite_file):
         run(["--out", str(tmp_path / "o"), "classify", "--factors", finite_file])
@@ -448,6 +461,20 @@ class TestReproducePaper:
         doc = json.loads(ja)
         assert all(c["match"] for c in doc["cases"])
         assert doc["certificate_fa_05"]["verdict"] == "ConvergentTrend"
+
+    def test_symmetry_residual_is_the_reflection_residual(self, tmp_path):
+        # det(I - U Z) satisfies f~ = lambda f; the spot check reports the
+        # largest coefficient defect over the seed's 20 polynomials
+        run(["--out", str(tmp_path / "a"), "--seed", "3", "reproduce-paper"])
+        doc = json.loads((tmp_path / "a" / "summary.json").read_text())
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(20):
+            size = int(rng.integers(2, 5))
+            n = int(rng.integers(1, size))
+            f = polynomial_from_unitary(DetRep(1.0, random_unitary(size, rng), n, size - n))
+            worst = max(worst, unimodular_reflection_match(f).residual)
+        assert doc["random_detrep_symmetry_residual"] == worst <= 1e-14
 
     def test_seed_changes_sampled_outputs(self, tmp_path):
         run(["--out", str(tmp_path / "a"), "--seed", "3", "reproduce-paper"])

@@ -75,6 +75,24 @@ class TestTraceBranch:
         br = trace_branch(f, window, 512, start_hint=hint)
         assert np.array_equal(br.m, numpy_selection_m(f, window, 512, hint))
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_power_branches_close_by_the_selection_rule(self, k):
+        # 1 + z1 z2^k: one more step picks another of the k roots at t = 0
+        grid = np.zeros((2, k + 1))
+        grid[0, 0] = grid[1, k] = 1.0
+        br = trace_branch(Poly2(grid), (0.0, TWO_PI), 512)
+        assert not br.periodic and br.winding == 0
+        # 1 + z1^k z2: m = pi - k t closes with winding -k
+        br = trace_branch(Poly2(grid.T.copy()), (0.0, TWO_PI), 512)
+        assert br.periodic and br.winding == -k
+
+    def test_steep_branch_closes(self):
+        # f_0.9 has one z2 root per slice, so every full-window branch
+        # closes; near t = 0, |m'| = 19 puts one linear extrapolation step
+        # far off the curve
+        br = trace_branch(fa_poly(0.9), (0.0, TWO_PI), 128)
+        assert br.periodic and br.winding == -1
+
     def test_nodes_on_torus(self):
         f = fa_poly(0.3)
         br = trace_branch(f, (0.0, TWO_PI), 128)

@@ -76,7 +76,7 @@ class TestAglerIdentity:
 
     def test_degenerate_pair(self, f0):
         zero_pair = AglerPair((Poly2.zero(),), (Poly2.zero(),))
-        # residual equals the max of |ht ht* - h h*| over the samples
+        # residual equals the largest coefficient of ht ht* - h h*
         assert verify_agler_identity(f0, zero_pair) > 0.1
 
     def test_requires_symmetric_f(self, two_minus):
@@ -96,6 +96,24 @@ class TestAglerIdentity:
             entry = ds[name]
             pair = AglerPair(entry["P"], entry["Q"])
             assert verify_agler_identity(entry["f"], pair) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-2, 0.1, 1.0])
+    def test_scaled_q_residual_is_the_q_kernel(self, eps):
+        # with Q scaled by 1 + eps the two sides differ by exactly
+        # (2 eps + eps^2) K_Q, K_Q(z, w) = (1 - z2 conj(w2)) Q(w)* Q(z)
+        ds = load_pair_dataset()
+        for name in ("f0", "fa_025", "fa_05", "fa_075"):
+            entry = ds[name]
+            n, m = entry["f"].bidegree
+            KQ = 0
+            for q in entry["Q"]:
+                g = q.padded((n + 1, m + 1))
+                zg = np.zeros_like(g)
+                zg[:, 1:] = g[:, :-1]           # z2 q
+                KQ = KQ + np.multiply.outer(g, np.conj(g)) - np.multiply.outer(zg, np.conj(zg))
+            scaled = AglerPair(entry["P"], tuple(q * (1 + eps) for q in entry["Q"]))
+            expect = (2 * eps + eps * eps) * np.abs(KQ).max()
+            assert verify_agler_identity(entry["f"], scaled) == pytest.approx(expect, rel=1e-12)
 
 
 class TestUnitaryFromPair:

@@ -432,6 +432,26 @@ class TestTouchSearch:
         # never beyond the bracketing pass and 60 bisections
         assert max(per_search) <= 61
 
+    @pytest.mark.parametrize("f, calls", [
+        pytest.param(Poly2([[2, -1.001], [-1, 0]]), 0, id="2-z1-1.001z2"),
+        pytest.param(radial(polynomial_from_unitary(
+            DetRep(1.0, random_unitary(6, np.random.default_rng(3)), 3, 3)), 1 / 0.9),
+            0, id="det33-open"),
+        pytest.param(Poly2([[2, -1], [-1, 0]]), 1, id="2-z1-z2"),
+    ])
+    def test_runs_only_on_zero_free_factors(self, monkeypatch, f, calls):
+        # a factor with open zeros reads its torus zeros at the crossing angles
+        count, touch = [0], stability._touch_points
+
+        def counted(*args):
+            count[0] += 1
+            return touch(*args)
+
+        monkeypatch.setattr(stability, "_touch_points", counted)
+        report, _ = zero_reports(f)
+        assert report.has_zero_in_open_bidisk == (calls == 0)
+        assert count[0] == calls
+
     def test_double_crossing_angle_touch_point(self):
         # f = 2 - e^{i theta} z1 - z2 vanishes on the torus at (e^{-i theta}, 1)
         # only; the bracket comes from the quarter points of the arcs

@@ -79,8 +79,7 @@ class EvidenceBundle:
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
-            "profile": [{"N": r.degree_cap, "distance": r.distance,
-                         "gram_condition": r.gram_condition} for r in self.profile],
+            "profile": [{"N": r.degree_cap, "distance": r.distance} for r in self.profile],
             "certificate": None if self.certificate is None else self.certificate.to_dict(),
         }
 

@@ -133,8 +133,7 @@ def _cmd_approximant(args) -> tuple[int, dict]:
     print(f"d_N: {[round(r.distance, 6) for r in profile]}")
     return 0, {
         "approximant.json": {"alpha": space.alpha, "profile": [r.to_dict() for r in profile]},
-        "approximant.csv": ("N,d_N,gram_condition",
-                            [(r.degree_cap, r.distance, r.gram_condition) for r in profile])}
+        "approximant.csv": ("N,d_N", [(r.degree_cap, r.distance) for r in profile])}
 
 
 def _cmd_detgen(args) -> tuple[int, dict]:

@@ -43,20 +43,16 @@ def alpha_norm(f: Poly2, space: AlphaSpace) -> float:
 
 @dataclass(frozen=True)
 class ApproximantResult:
-    """The optimal approximant at one degree cap, its distance ||p f - 1||,
-    and gram_condition, the 2-norm condition number of the Gram block that
-    the solve factors."""
+    """The optimal approximant at one degree cap and its distance ||p f - 1||."""
 
     degree_cap: int
     approximant: Poly2
     distance: float
-    gram_condition: float
 
     def to_dict(self) -> dict:
         return {
             "degree_cap": self.degree_cap,
             "distance": self.distance,
-            "gram_condition": self.gram_condition,
             "approximant": self.approximant.to_json_dict(),
         }
 
@@ -73,9 +69,11 @@ def optimal_approximant(f: Poly2, space: AlphaSpace, degree_cap: int) -> Approxi
     return distance_profile(f, space, [degree_cap])[0]
 
 
-def _gram(f: Poly2, space: AlphaSpace, cap: int, bi: np.ndarray, bj: np.ndarray) -> np.ndarray:
-    """Gram matrix <z^b' f, z^b f> of the shifts of f by the basis (bi, bj),
-    in that order, real when f has real coefficients.
+def _gram(f: Poly2, space: AlphaSpace, cap: int, bi: np.ndarray, bj: np.ndarray,
+          rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` (indices into the basis) of the Gram matrix <z^b' f, z^b f>
+    of the shifts of f by the basis (bi, bj), columns in basis order, real
+    when f has real coefficients.
 
     The entry for b = (i, j), b' = (i + d, j + e) is
 
@@ -100,16 +98,17 @@ def _gram(f: Poly2, space: AlphaSpace, cap: int, bi: np.ndarray, bj: np.ndarray)
     framed[n: 2 * n + 1, m: 2 * m + 1] = a
     index = np.full((cap + 1, cap + 1), -1)
     index[bi, bj] = np.arange(bi.size)
-    G = np.zeros((bi.size, bi.size), dtype=a.dtype)
+    ri, rj = bi[rows], bj[rows]
+    G = np.zeros((ri.size, bi.size), dtype=a.dtype)
     for d in range(-n, n + 1):
         for e in range(-m, m + 1):
             C = np.conj(a) * framed[n - d: 2 * n + 1 - d, m - e: 2 * m + 1 - e]
             if not C.any():
                 continue    # (d, e) is no difference of supp f: a zero band
             T = Hk @ C @ Hl.T
-            i, j = bi + d, bj + e
+            i, j = ri + d, rj + e
             ok = (i >= 0) & (j >= 0) & (i + j <= cap)
-            G[np.flatnonzero(ok), index[i[ok], j[ok]]] = T[bi[ok], bj[ok]]
+            G[np.flatnonzero(ok), index[i[ok], j[ok]]] = T[ri[ok], rj[ok]]
     return G
 
 
@@ -164,25 +163,6 @@ def _swap_symmetric(f: Poly2) -> bool:
     return a.shape[0] == a.shape[1] and (np.array_equal(a, a.T) or np.array_equal(a, -a.T))
 
 
-def _even_half(Gc: np.ndarray, i: np.ndarray, j: np.ndarray, mirror: np.ndarray):
-    """Even block of a block Gc that the swap maps to itself.
-
-    Row r of Gc is the shift (i[r], j[r]) and row mirror[r] is (j[r], i[r]).
-    The even basis is v_r = (e_r + e_mirror(r)) / |e_r + e_mirror(r)| over
-    the rows `even` with i <= j, in the order of Gc, so a cap is still a
-    leading block when Gc is in degree order.  Each entry sums G's four
-    sub-blocks in pairs that are exact on the diagonal points, then scales
-    by the two norms, |e_r + e_mirror(r)| = 2^a with a = 1 on the diagonal
-    and 1/2 off it.  Returns (E, even).
-    """
-    even = np.flatnonzero(i <= j)
-    off = (i[even] < j[even]).astype(np.intp)
-    rows = Gc[even] + Gc[mirror[even]]
-    E = np.take(rows, even, axis=1) + np.take(rows, mirror[even], axis=1)
-    E *= np.array([0.25, 0.5 ** 1.5, 0.5])[np.add.outer(off, off)]
-    return E, even
-
-
 def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResult]:
     """Optimal approximants for a strictly increasing list of degree caps.
 
@@ -191,16 +171,21 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
     <1, z^b f> = conj(a00) e_0 vanishes off b = (0, 0).  So p lies on the
     shifts in L, the coset of (0, 0), and only that block of G is built
     (`_in_lattice`), once at max(caps) with the basis in degree order: the
-    basis of a cap is a prefix, so its block is a leading block.  Each cap
-    costs one `eigvalsh` of the block it solves, which gives
-    `gram_condition` and rejects a block that is not positive definite, and
-    one linear solve.  For f whose support differences span Z^2, L is Z^2.
+    basis of a cap is a prefix, so its block is a leading block.  A leading
+    block of a positive definite matrix is positive definite, so one
+    `cholesky` of the top-cap block checks every cap; each cap then costs
+    one linear solve on its leading block.  For f whose support differences
+    span Z^2, L is Z^2.
 
     When f(z2, z1) = +-f(z1, z2) the swap of the shifts (i, j) <-> (j, i)
     maps L to itself and commutes with G, and the right-hand side is even,
-    so the solve runs on the even half of the block (`_even_half`) and p
-    comes out exactly symmetric.  The distance is evaluated directly from
-    the residual coefficients.
+    so the solve runs on the even half of the block, in the basis
+    v_r = (e_r + e_r') / |e_r + e_r'| over the shifts r = (i, j) with
+    i <= j and their mirrors r' = (j, i), and p comes out exactly
+    symmetric.  Only the rows r of G are built: the even block is
+    E[r, s] = 2 (G[r, s] + G[r, s']) / (|e_r + e_r'| |e_s + e_s'|), with
+    |e_r + e_r'| = 2 on the diagonal i = j and sqrt 2 off it.  The
+    distance is evaluated directly from the residual coefficients.
     """
     caps = list(caps)
     if any(b <= a for a, b in zip(caps, caps[1:])):
@@ -215,30 +200,40 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
     bi, bj = np.array(_total_degree_basis(cap)).T
     home = _in_lattice(_support_lattice(f), bi, bj)
     bi, bj = bi[home], bj[home]
-    H = _gram(f, space, cap, bi, bj)
     swap = _swap_symmetric(f)
     if swap:
         pos = np.zeros((cap + 1, cap + 1), dtype=int)
         pos[bi, bj] = np.arange(bi.size)
-        H, even = _even_half(H, bi, bj, pos[bj, bi])
+        even = np.flatnonzero(bi <= bj)
+        R = _gram(f, space, cap, bi, bj, even)
+        H = R[:, even] + R[:, pos[bj[even], bi[even]]]
+        # 2 / (|e_r + e_r'| |e_s + e_s'|) by how many of r, s are off the diagonal
+        off = (bi[even] < bj[even]).astype(np.intp)
+        H *= np.array([0.5, math.sqrt(0.5), 1.0])[np.add.outer(off, off)]
         bi, bj = bi[even], bj[even]
         # p = sum x_r v_r over the even basis
         to_coeff = np.where(bi == bj, 1.0, math.sqrt(0.5))
-    deg = bi + bj
+    else:
+        H = _gram(f, space, cap, bi, bj, np.arange(bi.size))
+    sizes = np.searchsorted(bi + bj, caps, side="right")
     a00 = f.coeffs[0, 0]
     rhs0 = np.conj(a00) if H.dtype.kind == "c" else a00.real
 
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        # name the first cap whose block fails; the last block is H itself
+        for N, B in zip(caps, sizes):
+            try:
+                np.linalg.cholesky(H[:B, :B])
+            except np.linalg.LinAlgError:
+                raise ValueError(f"singular Gram matrix: the block of degree cap {N} "
+                                 "is not positive definite") from None
     out = []
-    for N in caps:
-        B = int(np.searchsorted(deg, N, side="right"))
-        M = H[:B, :B]
-        eig = np.linalg.eigvalsh(M)
-        if eig[0] <= 0:
-            raise ValueError("singular Gram matrix (condition estimate "
-                             f"{np.linalg.cond(M):.3e})")
+    for N, B in zip(caps, sizes):
         rhs = np.zeros(B, dtype=H.dtype)
         rhs[0] = rhs0
-        x = np.linalg.solve(M, rhs)
+        x = np.linalg.solve(H[:B, :B], rhs)
         i, j = bi[:B], bj[:B]
         coeffs = np.zeros((N + 1, N + 1), dtype=complex)
         if swap:
@@ -247,5 +242,5 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
             coeffs[i, j] = x
         p = Poly2(coeffs)
         dist = alpha_norm(p * f - Poly2.constant(1.0), space)
-        out.append(ApproximantResult(N, p, dist, float(eig[-1] / eig[0])))
+        out.append(ApproximantResult(N, p, dist))
     return out

@@ -40,6 +40,7 @@ from .poly2 import (SAME_POINT_TOL, SYMMETRY_TOL, ZERO_VALUE_TOL, Poly2,
 
 OPEN_MARGIN = 1e-7          # modulus band separating open from boundary roots
 RANK_BAND = 1e-10           # sigma_min <= band * sigma_max: M is singular off the circle
+WITNESS_VALUE_TOL = 1e-6    # |f| <= tol * scale at a continued open-bidisk witness
 _SHIFTS = (0.3 + 0.2j, -0.25 + 0.35j, 0.1 - 0.4j)   # M is tested at z = 1 / conj(s)
 _mobius_basis = functools.lru_cache(maxsize=64)(mobius_basis)   # once per shift and degree
 
@@ -287,7 +288,7 @@ def _open_witness(f: Poly2, t: float) -> tuple[complex, complex] | None:
     while s > 1e-15:
         z1 = complex((1.0 - s) * np.exp(1j * t))
         z2 = newton_polish(slice_rows(f.coeffs, z1), w)
-        if abs(z2) < 1.0 and abs(f(z1, z2)) <= 1e-6 * f.scale:
+        if abs(z2) < 1.0 and abs(f(z1, z2)) <= WITNESS_VALUE_TOL * f.scale:
             return z1, z2
         s /= 2
     return None

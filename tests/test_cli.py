@@ -191,7 +191,7 @@ class TestPipelines:
         assert run(["--out", str(tmp_path / "o"), "approximant", "--poly", f0_file,
                     "--alpha", "0.25", "--caps", "0", "4", "8"]) == 0
         rows = (tmp_path / "o" / "approximant.csv").read_text().strip().splitlines()
-        assert rows[0] == "N,d_N,gram_condition"
+        assert rows[0] == "N,d_N"
         ds = [float(r.split(",")[1]) for r in rows[1:]]
         assert ds == sorted(ds, reverse=True)
 
@@ -266,7 +266,7 @@ class TestOutputFiles:
 
     def test_approximant_csv(self, all_outputs):
         header, *rows = read_csv(all_outputs["approximant"] / "approximant.csv")
-        assert header == ["N", "d_N", "gram_condition"]
+        assert header == ["N", "d_N"]
         assert [r[0] for r in rows] == ["0", "2"]
 
     def test_config_records_inputs_by_name_and_hash(self, all_outputs):
@@ -321,6 +321,26 @@ class TestErrors:
         assert rc == EXIT_NUMERICAL
         doc = json.loads((tmp_path / "o" / "error.json").read_text())
         assert "error" in doc
+
+    def test_singular_gram_block(self, tmp_path, monkeypatch):
+        # a Cholesky that fails from block size 40 on: 2 - z1 - 0.5 z2 has
+        # blocks of 1, 15, 45 and 91 shifts at caps 0, 4, 8 and 12
+        cholesky = np.linalg.cholesky
+
+        def failing(M):
+            if M.shape[0] >= 40:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(M)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        p = write_poly(tmp_path / "p.json", [[2, -0.5], [-1, 0]])
+        rc = run(["--out", str(tmp_path / "o"), "approximant", "--poly", p,
+                  "--alpha", "0.75", "--caps", "0", "4", "8", "12"])
+        assert rc == EXIT_NUMERICAL
+        doc = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert doc["error"] == ("singular Gram matrix: the block of degree cap 8 "
+                                "is not positive definite")
+        assert not (tmp_path / "o" / "approximant.json").exists()
 
     @pytest.mark.parametrize("text, problem", [
         ('{"bidegree": ["1", 1], "coeffs": [[[1, 0], [1, 0]], [[1, 0], [1, 0]]]}',

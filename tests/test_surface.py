@@ -1,19 +1,23 @@
-"""The public surface: the package exports and the benchmark tracer's targets.
+"""The public surface: the package exports, the benchmark tracer's targets
+and the tolerance table in README.
 
 `perfbench/tracer.py` looks each target up by module and attribute name and
 reads some arguments by position, so a renamed function or a moved
 parameter would break only its traced runs.  These tests catch that here.
 """
+import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 import bicyclic
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 EXPORTS = {
     "AglerPair", "AlphaSpace", "ApproximantResult", "BidiskStabilityReport",
@@ -85,3 +89,25 @@ def test_counted_arguments_keep_their_positions(name, mod, attr, count):
     params = list(inspect.signature(resolve(mod, attr)).parameters)
     for index, param in COUNTED_ARGUMENTS[name]:
         assert params[index] == param
+
+
+def module_tolerances() -> set[str]:
+    """`module.NAME` for every module-level *_TOL, *_BAND, *_MARGIN or
+    *_WIDTH constant assigned in src/bicyclic."""
+    found = set()
+    for path in sorted((ROOT / "src" / "bicyclic").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            for target in targets:
+                names = target.elts if isinstance(target, ast.Tuple) else [target]
+                found |= {f"{path.stem}.{t.id}" for t in names if isinstance(t, ast.Name)
+                          and re.fullmatch(r"_?[A-Z0-9_]+_(TOL|BAND|MARGIN|WIDTH)", t.id)}
+    return found
+
+
+def test_every_tolerance_has_a_readme_row():
+    section = (ROOT / "README.md").read_text().split("## Tolerances")[1].split("\n## ")[0]
+    rows = set(re.findall(r"^\| `([\w.]+)` \|", section, re.M))
+    tolerances = module_tolerances()
+    assert "stability.WITNESS_VALUE_TOL" in tolerances
+    assert tolerances <= rows

@@ -289,7 +289,7 @@ def branch_measure(f: Poly2, K: int, uniform: bool = False) -> CurveMeasure:
     branch = trace_branch(f, (0.0, TWO_PI), max(8 * K, 1024))
     if uniform:
         return make_uniform_measure(branch)
-    d2 = np.abs(branch.d2m)
+    d2 = np.abs(branch.derivatives[1])
     center_idx = int(np.argmax(d2))
     center = float(branch.t[center_idx])
     if curve_type_at(branch, center).tau != 2:

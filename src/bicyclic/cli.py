@@ -175,7 +175,7 @@ def _cmd_curve_type(args) -> tuple[int, dict]:
     print(f"type at t={args.t}: {report.tau if report.tau else 'infinite'}")
     return 0, {
         "curve_type.json": {"report": report.to_dict()},
-        "branch.csv": ("t,m,dm,d2m", zip(branch.t, branch.m, branch.dm, branch.d2m))}
+        "branch.csv": ("t,m,dm,d2m", zip(branch.t, branch.m, *branch.derivatives[:2]))}
 
 
 def _cmd_fourier(args) -> tuple[int, dict]:

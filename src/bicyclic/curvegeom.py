@@ -1,40 +1,41 @@
 """Tracing torus zero curves and computing the contact type of their points.
 
 A branch of Z(f) on the torus is represented as t -> (e^{it}, e^{i m(t)})
-with m unwrapped to a continuous function on a uniform grid.  The type of a
-point is the smallest derivative order at which every unit direction sees a
-nonvanishing derivative of phi(t) = (t, m(t)); for a regular graph
+with m unwrapped to a continuous function on a uniform grid.  The
+derivatives m', ..., m^(5) at every node are exact up to rounding: the
+implicit function theorem makes each Taylor coefficient of m solve one
+linear equation in the lower ones (`_branch_derivatives`).  The type of a
+point is the smallest derivative order at which every unit direction sees
+a nonvanishing derivative of phi(t) = (t, m(t)); for a regular graph
 parametrization only the normal direction matters, but both sign
 resolutions and the tangential direction are tested explicitly.
 """
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import line_fit
 from .poly2 import (ZERO_VALUE_TOL, MobiusParams, Poly2, mobius_numerator,
-                    unimodular_slice_roots)
+                    slice_rows, unimodular_slice_roots)
 
 TWO_PI = 2.0 * np.pi
 ROOT_COLLISION_TOL = 1e-6    # branch ambiguity threshold
 DERIVATIVE_REL_THRESHOLD = 1e-7
-AFFINE_TOL = 1e-9            # straight-line fit residual, relative to max |m|
 RETYPE_NODES = 256           # nodes of each branch mobius_retype traces
 RETYPE_HALF_WIDTH = 0.8      # half width of its parameter window
 
 
 @dataclass(frozen=True)
 class CurveBranch:
-    """Sampled branch: uniform parameter grid, continuous m, derivatives."""
+    """Sampled branch: uniform parameter grid, continuous m, and m^(k) for
+    k = 1..5 in row k - 1 of `derivatives`."""
 
     t: np.ndarray
     m: np.ndarray
-    dm: np.ndarray
-    d2m: np.ndarray
-    d3m: np.ndarray
+    derivatives: np.ndarray
     periodic: bool
     winding: int
 
@@ -56,57 +57,36 @@ class CurveBranch:
             raise ValueError(f"parameter {t} outside the branch window")
         return i
 
-    def _extended(self, y: np.ndarray, pad: int) -> np.ndarray:
-        if self.periodic:
-            left = y[-pad:] - TWO_PI * self.winding
-            right = y[:pad] + TWO_PI * self.winding
-            return np.concatenate([left, y, right])
-        return y
 
-    def derivative_grid(self, order: int, stride: int = 1) -> np.ndarray:
-        """Finite-difference derivative of m of the given order on the grid.
+def _branch_derivatives(f: Poly2, t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """m', ..., m^(5) at the nodes (t, m) of Z(f), as rows of a (5, nodes) array.
 
-        Central stencils (five point for orders 1 and 2, matching a
-        Richardson refinement of the three-point formulas); the grid wraps
-        periodically when the branch closes up, otherwise edge nodes reuse
-        the nearest interior stencil.  `stride` widens the effective step,
-        which tames roundoff amplification for high orders.
-        """
-        if not 1 <= order <= 5:
-            raise ValueError("derivative order must be between 1 and 5")
-        h = self.spacing * stride
-        reach = 3 if order == 5 else 2
-        pad = reach * stride
-        N = self.m.size
-        if self.periodic:
-            y = self._extended(self.m, pad)
-
-            def sl(k):
-                return y[pad + k * stride: pad + k * stride + N]
-        else:
-            # clamp each stencil to the window by shifting it inward; the
-            # result at edge nodes is the derivative at the nearest interior
-            # node, which is fine for threshold decisions
-            idx = np.arange(N)
-            base = np.clip(idx, pad, N - 1 - pad)
-
-            def sl(k):
-                return self.m[base + k * stride]
-
-        if order == 1:
-            return (sl(-2) - 8 * sl(-1) + 8 * sl(1) - sl(2)) / (12 * h)
-        if order == 2:
-            return (-sl(-2) + 16 * sl(-1) - 30 * sl(0) + 16 * sl(1) - sl(2)) / (12 * h * h)
-        if order == 3:
-            return (-sl(-2) + 2 * sl(-1) - 2 * sl(1) + sl(2)) / (2 * h ** 3)
-        if order == 4:
-            return (sl(-2) - 4 * sl(-1) + 6 * sl(0) - 4 * sl(1) + sl(2)) / h ** 4
-        return (-sl(-3) + 4 * sl(-2) - 5 * sl(-1) + 5 * sl(1) - 4 * sl(2) + sl(3)) / (2 * h ** 5)
-
-    def is_affine(self) -> bool:
-        """True when m(t) fits a straight line to within AFFINE_TOL."""
-        resid = float(np.abs(line_fit(self.t, self.m)[2]).max())
-        return resid <= AFFINE_TOL * max(1.0, float(np.abs(self.m).max()))
+    With mu(s) = m(t + s) - m(t) = sum_j c_j s^j, every coefficient
+    [s^j] f(e^{i(t+s)}, e^{i(m+mu(s))}) with j >= 1 vanishes, and the j-th is
+    linear in c_j with coefficient i z2 df/dz2, so the c_j follow order by
+    order (Taylor arithmetic, Griewank & Walther, Evaluating Derivatives).
+    f there is sum_l W_l(s) E_l(s): W_l is z2^l times the z2^l coefficient
+    of the slice at z1 e^{is}, and E_l = exp(i l mu), whose coefficients obey
+    j e_j = sum_{r=1..j} r (i l c_r) e_{j-r}.  Then m^(j) = j! c_j.
+    """
+    orders = 5
+    il = 1j * np.arange(f.coeffs.shape[1])[:, None]
+    k = np.arange(f.coeffs.shape[0])[:, None]
+    z1, z2_powers = np.exp(1j * t), np.exp(il * m)
+    # W[p][l, node] = [s^p] W_l(s): z2^l times the slice row of a[k, l] (ik)^p / p!
+    W = [slice_rows(f.coeffs * (k ** p * 1j ** p / math.factorial(p)), z1).T * z2_powers
+         for p in range(orders + 1)]
+    slope = (il * W[0]).sum(axis=0)          # i z2 df/dz2 at each node
+    E, G = [np.ones_like(W[0])], [None]       # e_j and i l c_j over (l, node)
+    c = np.zeros((orders + 1, t.size))
+    for j in range(1, orders + 1):
+        # e_j without its c_j term, then the order-j coefficient of f
+        E.append(sum(r * G[r] * E[j - r] for r in range(1, j)) / j)
+        residual = sum(W[j - q] * E[q] for q in range(j + 1)).sum(axis=0)
+        c[j] = (-residual / slope).real
+        G.append(il * c[j])
+        E[j] = E[j] + G[j]
+    return c[1:] * np.cumprod(np.arange(1.0, orders + 1))[:, None]
 
 
 def _check_nodes(nodes: int) -> None:
@@ -125,9 +105,13 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
     continuous m(t).  Over a full window of length 2 pi the branch is
     periodic iff one more step of the same rule, past the last node, picks
     node 0's root; its winding is then the unwrapped m there, less m(t0),
-    over 2 pi.  A node without a unimodular root, colliding roots, or a
-    traced node where |f| exceeds ZERO_VALUE_TOL times the scale raises an
-    error naming the node or the residual.
+    over 2 pi.  The derivatives m', ..., m^(5) come from
+    `_branch_derivatives`.  A node without a unimodular root, colliding
+    roots, a traced node where |f| exceeds ZERO_VALUE_TOL times the scale,
+    or a step whose unwrapped increment differs from the trapezoid rule
+    h (m'_i + m'_{i+1}) / 2 by more than pi, so that its multiple of 2 pi is
+    not determined, raises an error naming the node, the residual or the
+    step.
     """
     _check_nodes(nodes)
     t0, t1 = float(t_window[0]), float(t_window[1])
@@ -188,12 +172,17 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
     if worst > ZERO_VALUE_TOL * f.scale:
         raise ValueError(f"traced branch leaves the zero set (max |f| = {worst:.3e})")
 
-    branch = CurveBranch(t=t, m=m, dm=np.zeros(nodes), d2m=np.zeros(nodes),
-                         d3m=np.zeros(nodes), periodic=periodic, winding=winding)
-    object.__setattr__(branch, "dm", branch.derivative_grid(1))
-    object.__setattr__(branch, "d2m", branch.derivative_grid(2))
-    object.__setattr__(branch, "d3m", branch.derivative_grid(3))
-    return branch
+    # a step whose increment strays from the trapezoid rule on m' by more
+    # than pi has no determined multiple of 2 pi
+    derivatives = _branch_derivatives(f, t, m)
+    dm = derivatives[0]
+    stray = np.abs(np.diff(m) - h * (dm[:-1] + dm[1:]) / 2) > np.pi
+    if stray.any():
+        i = int(np.argmax(stray))
+        raise ValueError(f"branch under-resolved between t = {ts[i]:.6f} "
+                         f"and t = {ts[i + 1]:.6f}")
+    return CurveBranch(t=t, m=m, derivatives=derivatives, periodic=periodic,
+                       winding=winding)
 
 
 def fa_poly(a: float) -> Poly2:
@@ -234,50 +223,31 @@ def curve_type_at(branch: CurveBranch, t: float, max_order: int = 5) -> TypeRepo
     direction: the first k <= max_order with |m^(k)(t)| above the relative
     threshold.  Orders beyond max_order report infinite type (tau = None).
 
-    An exactly affine m short-circuits to infinite type; for finite
-    differences of order four and five a nonzero value must additionally be
-    stable under doubling the stencil stride, which filters the roundoff
-    amplification eps / h^k.
+    The derivatives are the branch's exact rows, and the cut for order k
+    is DERIVATIVE_REL_THRESHOLD times max(1, max |m^(k)|) over the window.
     """
-    if max_order < 2:
-        raise ValueError("max_order must be at least 2")
+    orders = branch.derivatives.shape[0]
+    if not 2 <= max_order <= orders:
+        raise ValueError(f"max_order must be between 2 and {orders}, "
+                         f"got max_order = {max_order}")
     i = branch.node_index(t)
-    # m^(k) on the grid: the stored dm, d2m, d3m up to order 3, finite
-    # differences above
-    stored = (branch.dm, branch.d2m, branch.d3m)
-    grids = [stored[k - 1] if k <= 3 else branch.derivative_grid(k)
-             for k in range(1, max_order + 1)]
-    derivs = [float(g[i]) for g in grids]
+    rows = branch.derivatives[:max_order]
+    derivs = rows[:, i].tolist()
     norm = np.hypot(1.0, derivs[0])
     eta = (-derivs[0] / norm, 1.0 / norm)
-
-    if branch.is_affine():
-        values = [(1, float(norm))] + [(k, 0.0) for k in range(2, max_order + 1)]
-        return TypeReport(point=float(branch.t[i]), tau=None, witness_vector=eta,
-                          derivative_values=tuple(values), max_order=max_order,
-                          thresholds=())
-
-    # relative thresholds from the derivative magnitude over the window
-    scales = [max(1.0, float(np.abs(g).max())) for g in grids]
-
-    def stable_high_order(k: int, value: float) -> bool:
-        if k <= 3:
-            return True
-        doubled = float(branch.derivative_grid(k, stride=2)[i])
-        return abs(doubled - value) <= 0.5 * max(abs(value), abs(doubled))
+    thresholds = (DERIVATIVE_REL_THRESHOLD * np.maximum(1.0, np.abs(rows).max(axis=1))).tolist()
 
     tau = None
     values = [(1, float(norm))]  # tangential direction is witnessed at k = 1
     for k in range(2, max_order + 1):
         dk = derivs[k - 1]
         values.append((k, float(dk * eta[1])))
-        if (tau is None and abs(dk) > DERIVATIVE_REL_THRESHOLD * scales[k - 1]
-                and stable_high_order(k, dk)):
+        if tau is None and abs(dk) > thresholds[k - 1]:
             tau = k
     # both sign resolutions of eta give the same order
     return TypeReport(point=float(branch.t[i]), tau=tau, witness_vector=eta,
                       derivative_values=tuple(values), max_order=max_order,
-                      thresholds=tuple(DERIVATIVE_REL_THRESHOLD * s for s in scales))
+                      thresholds=tuple(thresholds))
 
 
 def _centered_window(center: float, half_width: float, nodes: int) -> tuple[float, float]:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,13 +74,18 @@ def closed_form_branch_fa(a: float, t_window: tuple[float, float] = (0.0, TWO_PI
     # anchor convention of trace_branch
     m = np.unwrap(np.angle(z2))
 
+    # m' = (1 - a^2) g with g = 1/D, D = 2a cos t - 1 - a^2, and D g = 1
+    # gives g^(n) = -sum_{k=1..n} C(n, k) D^(k) g^(n-k) / D, where
+    # D^(k) = 2a cos(t + k pi/2)
     D = 2 * a * np.cos(t) - 1.0 - a * a
-    dm = (1.0 - a * a) / D
-    d2m = 2 * a * (1.0 - a * a) * np.sin(t) / D ** 2
-    d3m = 2 * a * (1.0 - a * a) * (np.cos(t) * D + 4 * a * np.sin(t) ** 2) / D ** 3
+    g = [1.0 / D]
+    for n in range(1, 5):
+        g.append(-sum(math.comb(n, k) * 2 * a * np.cos(t + k * np.pi / 2) * g[n - k]
+                      for k in range(1, n + 1)) / D)
+    derivatives = (1.0 - a * a) * np.array(g)
 
     # z1 -> z2 maps the circle onto itself with degree -1, so over a full
     # window m falls by exactly 2 pi
     periodic = abs(t1 - t0 - TWO_PI) <= 1e-9
-    return CurveBranch(t=t, m=m, dm=dm, d2m=d2m, d3m=d3m,
-                       periodic=periodic, winding=-1 if periodic else 0)
+    return CurveBranch(t=t, m=m, derivatives=derivatives, periodic=periodic,
+                       winding=-1 if periodic else 0)

@@ -396,8 +396,13 @@ class TestErrors:
         (["fourier", "--shells", "0"], "shells must be at least 2, got shells = 0"),
         (["cofactor", "--q", "-1"], "q must be at least 0, got q = -1"),
         (["cofactor", "--N", "-2"], "N must be at least 0, got N = -2"),
+        (["curve-type", "--t", "0", "--max-order", "1"],
+         "max_order must be between 2 and 5, got max_order = 1"),
+        (["curve-type", "--t", "0", "--max-order", "6"],
+         "max_order must be between 2 and 5, got max_order = 6"),
     ], ids=["energy-repeated-cutoff", "fourier-tau0", "fourier-tau-1", "fourier-shells1",
-            "fourier-shells0", "cofactor-q-1", "cofactor-N-2"])
+            "fourier-shells0", "cofactor-q-1", "cofactor-N-2", "curve-type-max-order1",
+            "curve-type-max-order6"])
     def test_numeric_option_out_of_range_named(self, tmp_path, f0_file, finite_file,
                                                argv, problem):
         poly = finite_file if argv[0] == "cofactor" else f0_file

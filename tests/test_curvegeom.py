@@ -51,18 +51,30 @@ class TestTraceBranch:
         assert np.abs(tr.m - cf.m).max() <= 1e-8
 
     def test_fa_derivatives_match_closed_form(self):
-        tr = trace_branch(fa_poly(0.5), (0.0, TWO_PI), 512)
-        cf = closed_form_branch_fa(0.5, (0.0, TWO_PI), 512)
-        assert np.abs(tr.dm - cf.dm).max() <= 1e-6
-        assert np.abs(tr.d2m - cf.d2m).max() <= 1e-6
+        # m', ..., m^(5) by implicit differentiation, each order within
+        # 1e-12 of its largest value, on full and open windows
+        for a in (0.25, 0.5, 0.75, 0.9):
+            for window, nodes in (((0.0, TWO_PI), 512), ((-0.8, 0.8), 256)):
+                tr = trace_branch(fa_poly(a), window, nodes)
+                cf = closed_form_branch_fa(a, window, nodes)
+                assert tr.derivatives.shape == (5, nodes)
+                scale = np.abs(cf.derivatives).max(axis=1)
+                err = np.abs(tr.derivatives - cf.derivatives).max(axis=1)
+                assert np.all(err <= 1e-12 * scale), (a, window)
+
+    def test_line_derivatives_vanish(self, f0):
+        # m = pi - t on 1 + z1 z2: m' = -1 and no higher order survives
+        br = trace_branch(f0, (0.0, TWO_PI), 256)
+        assert np.abs(br.derivatives[0] + 1.0).max() <= 1e-14
+        assert np.abs(br.derivatives[1:]).max() <= 1e-14
 
     def test_fa_slope_strictly_negative(self):
         # m'(t) = (1-a^2)/(2a cos t - 1 - a^2) < 0 for a in (0,1)
         for a in (0.25, 0.5, 0.75):
             cf = closed_form_branch_fa(a, (0.0, TWO_PI), 256)
             expect = (1 - a * a) / (2 * a * np.cos(cf.t) - 1 - a * a)
-            assert np.abs(cf.dm - expect).max() <= 1e-12
-            assert np.all(cf.dm < 0)
+            assert np.abs(cf.derivatives[0] - expect).max() <= 1e-12
+            assert np.all(cf.derivatives[0] < 0)
 
     @pytest.mark.parametrize("f, window, hint", [
         (fa_poly(0.3), (0.0, TWO_PI), None),
@@ -107,6 +119,19 @@ class TestTraceBranch:
         with pytest.raises(ValueError, match="ambiguity|no unimodular"):
             trace_branch(f, (-0.1, 0.1), 256)
 
+    def test_under_resolved_step_raises(self):
+        # on f_0.96 |m'| reaches 49 near t = 0 and h = 0.098: the first
+        # step's unwrapped increment strays from h (m'_0 + m'_1) / 2 by more
+        # than pi, so its multiple of 2 pi is not determined
+        window = (-0.05, TWO_PI - 0.05)
+        with pytest.raises(ValueError, match="under-resolved between t = -0.050000 and"):
+            trace_branch(fa_poly(0.96), window, 64)
+        # f_0.98's spike (|m'| up to 99) falls between the nodes, which see
+        # no stray step; the closed form winds -1, so this is a known limit
+        br = trace_branch(fa_poly(0.98), window, 64)
+        assert br.periodic and br.winding == 0
+        assert trace_branch(fa_poly(0.98), window, 1024).winding == -1
+
     def test_no_curve_raises(self):
         with pytest.raises(ValueError):
             trace_branch(Poly2([[3, 1], [1, 0]]), (0.0, TWO_PI), 64)
@@ -150,15 +175,17 @@ class TestCurveType:
         cf = closed_form_branch_fa(0.5, (0.0, TWO_PI), 512)
         rep = curve_type_at(cf, np.pi / 2)
         i = cf.node_index(np.pi / 2)
-        tangent = np.array([1.0, cf.dm[i]])
+        tangent = np.array([1.0, cf.derivatives[0, i]])
         eta = np.array(rep.witness_vector)
         assert abs(tangent @ eta) <= 1e-12
         assert abs(np.linalg.norm(eta) - 1.0) <= 1e-12
 
     def test_max_order_validated(self, f0):
         br = trace_branch(f0, (0.0, TWO_PI), 64)
-        with pytest.raises(ValueError):
-            curve_type_at(br, 0.0, max_order=1)
+        for order in (1, 6):
+            with pytest.raises(ValueError, match=f"^max_order must be between 2 and 5, "
+                                                 f"got max_order = {order}$"):
+                curve_type_at(br, 0.0, max_order=order)
 
     def test_outside_window_rejected(self):
         br = trace_branch(fa_poly(0.5), (1.0, 2.0), 64)

@@ -92,8 +92,9 @@ def test_counted_arguments_keep_their_positions(name, mod, attr, count):
 
 
 def module_tolerances() -> set[str]:
-    """`module.NAME` for every module-level *_TOL, *_BAND, *_MARGIN or
-    *_WIDTH constant assigned in src/bicyclic."""
+    """`module.NAME` for every module-level *_TOL, *_BAND, *_MARGIN, *_WIDTH,
+    *_THRESHOLD, *_RATIO, *_INCREMENT, *_FLOOR or *_TRIM constant assigned
+    in src/bicyclic."""
     found = set()
     for path in sorted((ROOT / "src" / "bicyclic").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -101,7 +102,8 @@ def module_tolerances() -> set[str]:
             for target in targets:
                 names = target.elts if isinstance(target, ast.Tuple) else [target]
                 found |= {f"{path.stem}.{t.id}" for t in names if isinstance(t, ast.Name)
-                          and re.fullmatch(r"_?[A-Z0-9_]+_(TOL|BAND|MARGIN|WIDTH)", t.id)}
+                          and re.fullmatch(r"_?[A-Z0-9_]+_(TOL|BAND|MARGIN|WIDTH|THRESHOLD|RATIO"
+                                           r"|INCREMENT|FLOOR|TRIM)", t.id)}
     return found
 
 
@@ -109,5 +111,6 @@ def test_every_tolerance_has_a_readme_row():
     section = (ROOT / "README.md").read_text().split("## Tolerances")[1].split("\n## ")[0]
     rows = set(re.findall(r"^\| `([\w.]+)` \|", section, re.M))
     tolerances = module_tolerances()
-    assert "stability.WITNESS_VALUE_TOL" in tolerances
+    assert {"stability.WITNESS_VALUE_TOL", "curvegeom.DERIVATIVE_REL_THRESHOLD",
+            "capacity.CONVERGENT_RATIO", "_roots.INTERP_TRIM"} <= tolerances
     assert tolerances <= rows

@@ -28,7 +28,6 @@ from .dirichlet import (
 from .detrep import (
     AglerPair,
     DetRep,
-    det_p_extraction,
     load_pair_dataset,
     polynomial_from_unitary,
     random_unitary,

@@ -1,10 +1,13 @@
 """Determinantal representations f = c det(I - U diag(z1 I_n, z2 I_m)).
 
 Generates polynomials from unitaries by determinant evaluation on a tensor
-grid of roots of unity followed by an inverse 2-D DFT, checks the
-decomposition identity behind the representation by its coefficients, and
-reconstructs the unitary from a valid vector-polynomial pair by an
-orthogonal Procrustes fit over traced zero-set samples.
+grid of roots of unity followed by an inverse 2-D DFT.  A vector pair (P, Q)
+enters through one coefficient colligation: the rows A of (h~, z1 P, z2 Q)
+and B of (h, P, Q) on the coefficient grid of f.  The decomposition
+identity says that A and B have one Gram matrix, which is how it is
+checked; then a unitary V with V A = B exists, and closing V on Z(f), where
+h~ = -h, gives U exactly (the lurking-isometry argument of Agler and of
+Ball & Trent).
 
 The general construction of the vector pair from f is out of scope; pairs
 come from the bundled dataset (data/agler_pairs.json) or from callers.
@@ -17,12 +20,10 @@ from importlib import resources
 
 import numpy as np
 
-from ._roots import interpolate_roots_of_unity, roots_low_first
 from .poly2 import (Poly2, coeff_distance, complex_from_pair, compute_h,
-                    unimodular_reflection_match, unimodular_slice_roots)
+                    unimodular_reflection_match)
 
 UNITARITY_TOL = 1e-10
-INNER_RADIUS_TOL = 1e-8     # a det P root below 1 - tol lies inside the disk
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,6 @@ class AglerPair:
     """Vector polynomials (P, Q) of lengths n and m for a bidegree (n, m) f.
 
     Each P entry has bidegree at most (n-1, m); each Q entry at most (n, m-1).
-    The z2-coefficient matrix Pmat with P(z) = Pmat(z2) (1, z1, ..,
-    z1^(n-1))^T is derived from the entries.
     """
 
     P: tuple
@@ -110,128 +109,71 @@ class AglerPair:
     def m(self) -> int:
         return len(self.Q)
 
-    def p_matrix(self) -> np.ndarray:
-        """(n, n, d+1) array: entry [i, j] holds the z2-coefficients of the
-        z1^j component of P_i."""
-        n = self.n
-        dmax = max(p.bidegree[1] for p in self.P)
-        out = np.zeros((n, n, dmax + 1), dtype=complex)
-        for i, p in enumerate(self.P):
-            grid = p.padded((n, dmax + 1))
-            out[i] = grid
-        return out
 
-    def evaluate(self, z1, z2) -> tuple[np.ndarray, np.ndarray]:
-        Pv = np.array([p(z1, z2) for p in self.P])
-        Qv = np.array([q(z1, z2) for q in self.Q])
-        return Pv, Qv
-
-
-def _kernel(grids: np.ndarray) -> np.ndarray:
-    """Coefficients of sum_i g_i(z) conj(g_i(w)) in z^a conj(w)^b, for a
-    stack of coefficient grids g_i: shape grid.shape + grid.shape."""
-    return np.einsum("iab,icd->abcd", grids, np.conj(grids))
+def _colligation(f: Poly2, pair: AglerPair) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient rows A of (h~, z1 P, z2 Q) and B of (h, P, Q), each
+    grid flattened over the bidegree (n, m) of f, where h = z1 d1 f + z2 d2 f
+    and h~ is its reflection at (n, m).  P has no z1^n term and Q no z2^m
+    term, so z1 P and z2 Q stay on the grid."""
+    n, m = f.bidegree
+    if pair.n != n or pair.m != m:
+        raise ValueError(f"pair shape ({pair.n},{pair.m}) does not match bidegree ({n},{m})")
+    shape = (n + 1, m + 1)
+    h = compute_h(f).padded(shape)
+    P = np.array([p.padded(shape) for p in pair.P])
+    Q = np.array([q.padded(shape) for q in pair.Q])
+    A = np.zeros((1 + n + m,) + shape, dtype=complex)
+    A[0] = np.conj(h[::-1, ::-1])
+    A[1:n + 1, 1:] = P[:, :-1]
+    A[n + 1:, :, 1:] = Q[:, :, :-1]
+    B = np.concatenate([h[None], P, Q])
+    return A.reshape(1 + n + m, -1), B.reshape(1 + n + m, -1)
 
 
 def verify_agler_identity(f: Poly2, pair: AglerPair) -> float:
     """Max coefficient residual of the two-kernel decomposition.
 
-    Compares ht(z) conj(ht(w)) - h(z) conj(h(w)) with
-    (1 - z1 conj(w1)) P(w)* P(z) + (1 - z2 conj(w2)) Q(w)* Q(z)
-    coefficient by coefficient in z^a conj(w)^b, a and b up to the
-    bidegree of f, where h = z1 d1 f + z2 d2 f and ht is its reflection at
-    the bidegree of f.  The identity holds iff the residual is zero.
+    The identity ht(z) conj(ht(w)) - h(z) conj(h(w)) =
+    (1 - z1 conj(w1)) P(w)* P(z) + (1 - z2 conj(w2)) Q(w)* Q(z), where
+    h = z1 d1 f + z2 d2 f and ht is its reflection at the bidegree of f,
+    says that the colligation rows A of (ht, z1 P, z2 Q) and B of (h, P, Q)
+    have one Gram matrix: its coefficients in z^a conj(w)^b are the entries
+    of A^T conj(A) - B^T conj(B), zero iff the identity holds.
     """
-    n, m = f.bidegree
-    if pair.n != n or pair.m != m:
-        raise ValueError(f"pair shape ({pair.n},{pair.m}) does not match bidegree ({n},{m})")
+    A, B = _colligation(f, pair)
     match = unimodular_reflection_match(f)
     if not match.matches or abs(match.lam - 1.0) > 1e-6:
         raise ValueError("f must satisfy f~ = f (normalize first)")
-    shape = (n + 1, m + 1)
-    v = compute_h(f).padded(shape)
-    u = np.conj(v[::-1, ::-1])      # the reflection of h at the bidegree of f
-    lhs = _kernel(u[None]) - _kernel(v[None])
-    KP = _kernel(np.array([p.padded(shape) for p in pair.P]))
-    KQ = _kernel(np.array([q.padded(shape) for q in pair.Q]))
-    # the factors 1 - z_j conj(w_j) shift a kernel by e_j in z and in w;
-    # P has no z1^n term and Q no z2^m term, so nothing leaves the grid
-    rhs = KP + KQ
-    rhs[1:, :, 1:, :] -= KP[:-1, :, :-1, :]
-    rhs[:, 1:, :, 1:] -= KQ[:, :-1, :, :-1]
-    return float(np.abs(lhs - rhs).max())
+    return float(np.abs(A.T @ A.conj() - B.T @ B.conj()).max())
 
 
-def _torus_zero_samples(f: Poly2, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points (z1, z2) on Z(f) with both coordinates on the unit circle."""
-    nodes = np.exp(1j * (np.linspace(0.0, 2 * np.pi, count, endpoint=False) + 0.05))
-    roots, which, _ = unimodular_slice_roots(f, nodes)
-    return nodes[which], roots
-
-
-def unitary_from_pair(f: Poly2, pair: AglerPair, zero_samples: int = 64,
-                      check_identity: bool = True) -> DetRep:
+def unitary_from_pair(f: Poly2, pair: AglerPair) -> DetRep:
     """Reconstruct the unitary mapping (z1 P, z2 Q) to (P, Q) on Z(f).
 
-    Solves the orthogonal Procrustes problem over traced torus zero samples
-    and validates the result by regenerating f from the determinant formula;
-    a regeneration mismatch raises with the residual attached.  The
-    Procrustes fit itself is invariant under scaling P and Q together, but a
-    rescaled pair no longer satisfies the decomposition identity, so
-    `check_identity` may be disabled to study such gauge variants.
+    The identity gives the colligation rows A and B one Gram matrix, so the
+    polar factor V of B A* (Procrustes on the coefficients) is a unitary
+    with V A = B.  Written V = [[alpha, beta], [gamma, D]] over the split
+    (h, (P, Q)), and since h~ = -h on Z(f) (Euler: h + h~ = (n + m) f), it
+    closes to U = D - gamma beta / (1 + alpha), which maps (z1 P, z2 Q) to
+    (P, Q) on Z(f).  A pair that fails the identity raises, and the result
+    is validated by regenerating f from the determinant formula; a
+    regeneration mismatch raises with the residual attached.
     """
-    if check_identity:
-        res = verify_agler_identity(f, pair)
-        if res > 1e-8:
-            raise ValueError(f"pair fails the decomposition identity (residual {res:.3e})")
-    n, m = f.bidegree
-    z1, z2 = _torus_zero_samples(f, zero_samples)
-    if z1.size < n + m:
-        raise ValueError("too few zero-set samples for reconstruction")
-    Pv, Qv = pair.evaluate(z1, z2)
-    X = np.vstack([z1[None, :] * Pv, z2[None, :] * Qv])
-    Y = np.vstack([Pv, Qv])
-    sv = np.linalg.svd(X, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
-        raise ValueError("rank-deficient sample matrix; add or spread samples")
-    W, _, Vh = np.linalg.svd(Y @ X.conj().T)
-    U = W @ Vh
+    res = verify_agler_identity(f, pair)
+    if res > 1e-8:
+        raise ValueError(f"pair fails the decomposition identity (residual {res:.3e})")
+    A, B = _colligation(f, pair)
+    W, _, Vh = np.linalg.svd(B @ A.conj().T)
+    V = W @ Vh
+    U = V[1:, 1:] - np.outer(V[1:, 0], V[0, 1:]) / (1.0 + V[0, 0])
 
-    c = complex(f.coeffs[0, 0])
-    rep = DetRep(c=c, U=U, n=n, m=m)
+    n, m = f.bidegree
+    rep = DetRep(c=complex(f.coeffs[0, 0]), U=U, n=n, m=m)
     regen = polynomial_from_unitary(rep)
     err = coeff_distance(regen, f)
     if err > 1e-8 * max(f.scale, 1.0):
         raise ValueError(f"regeneration mismatch: residual {err:.3e}")
     return rep
-
-
-def det_p_extraction(pair_or_matrix) -> np.ndarray:
-    """Determinant of the z2-coefficient matrix P(z2) as a univariate polynomial.
-
-    Accepts an AglerPair or a raw (n, n, d+1) coefficient array.  Evaluates
-    the matrix determinant at enough roots of unity, interpolates, and
-    asserts the result has no roots strictly inside the unit disk.
-    """
-    if isinstance(pair_or_matrix, AglerPair):
-        mat = pair_or_matrix.p_matrix()
-    else:
-        mat = np.asarray(pair_or_matrix, dtype=complex)
-        if mat.ndim != 3 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("expected an (n, n, d+1) coefficient array")
-    n, _, dp1 = mat.shape
-    deg_bound = n * (dp1 - 1)
-    S = deg_bound + 1
-    nodes = np.exp(2j * np.pi * np.arange(S) / S)
-    V = nodes[:, None] ** np.arange(dp1)[None, :]
-    entries = np.einsum("ijd,sd->sij", mat, V)
-    dets = np.linalg.det(entries)
-    coeffs = interpolate_roots_of_unity(dets)
-    for r in roots_low_first(coeffs):
-        if abs(r) < 1.0 - INNER_RADIUS_TOL:
-            raise ValueError(
-                f"det P has a zero at {r:.6g} inside the unit disk; pair invalid")
-    return coeffs
 
 
 def load_pair_dataset() -> dict:

@@ -10,7 +10,7 @@ All operations are pure; instances are treated as immutable values.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -263,16 +263,11 @@ def coeff_distance(f: Poly2, g: Poly2) -> float:
 
 @dataclass(frozen=True)
 class UnimodularMatch:
-    """Outcome of testing f~ = lambda * f for a single unimodular lambda.
-
-    `defect` is the coefficient grid of f~ - lambda f at the projected
-    lambda; it is kept on a mismatch, where `lam` is None.
-    """
+    """Outcome of testing f~ = lambda * f for a single unimodular lambda."""
 
     matches: bool
     lam: complex | None
     residual: float
-    defect: np.ndarray = field(repr=False, compare=False)
 
 
 def unimodular_reflection_match(f: Poly2) -> UnimodularMatch:
@@ -289,10 +284,9 @@ def unimodular_reflection_match(f: Poly2) -> UnimodularMatch:
     b = np.conj(a[::-1, ::-1])
     ip = np.vdot(a, b)
     lam = ip / abs(ip) if ip != 0 else 1.0 + 0j
-    defect = b - lam * a
-    residual = float(np.abs(defect).max())
+    residual = float(np.abs(b - lam * a).max())
     matches = residual <= SYMMETRY_TOL * f.scale
-    return UnimodularMatch(matches, complex(lam) if matches else None, residual, defect)
+    return UnimodularMatch(matches, complex(lam) if matches else None, residual)
 
 
 def normalize_symmetric(f: Poly2) -> tuple[Poly2, complex]:

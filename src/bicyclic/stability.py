@@ -33,14 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import newton_polish, roots_low_first
+from ._roots import roots_low_first
 from .poly2 import (SAME_POINT_TOL, SYMMETRY_TOL, ZERO_VALUE_TOL, Poly2,
                     UnimodularMatch, complex_to_pair, mobius_basis, slice_rows,
                     unimodular_reflection_match, unimodular_slice_roots)
 
 OPEN_MARGIN = 1e-7          # modulus band separating open from boundary roots
 RANK_BAND = 1e-10           # sigma_min <= band * sigma_max: M is singular off the circle
-WITNESS_VALUE_TOL = 1e-6    # |f| <= tol * scale at a continued open-bidisk witness
 _SHIFTS = (0.3 + 0.2j, -0.25 + 0.35j, 0.1 - 0.4j)   # M is tested at z = 1 / conj(s)
 _mobius_basis = functools.lru_cache(maxsize=64)(mobius_basis)   # once per shift and degree
 
@@ -281,14 +280,18 @@ def _torus_points(f: Poly2, ts: np.ndarray) -> tuple[list, bool]:
 
 def _open_witness(f: Poly2, t: float) -> tuple[complex, complex] | None:
     """A zero (r e^{it}, z2) in the open bidisk, continued from the slice
-    root in the disk at angle t."""
+    root w in the disk at angle t: at z1 = (1 - s) e^{it}, s halving from
+    (1 - |w|) / 2, the slice root nearest w, the first that lies in the
+    disk.  Each is a computed root of its slice, so |f| there is at
+    rounding level."""
     rts = roots_low_first(slice_rows(f.coeffs, np.exp(1j * t)))
     w = complex(rts[np.argmin(np.abs(rts))])
     s = (1.0 - abs(w)) / 2
     while s > 1e-15:
         z1 = complex((1.0 - s) * np.exp(1j * t))
-        z2 = newton_polish(slice_rows(f.coeffs, z1), w)
-        if abs(z2) < 1.0 and abs(f(z1, z2)) <= WITNESS_VALUE_TOL * f.scale:
+        rts = roots_low_first(slice_rows(f.coeffs, z1))
+        z2 = complex(rts[np.argmin(np.abs(rts - w))])
+        if abs(z2) < 1.0:
             return z1, z2
         s /= 2
     return None

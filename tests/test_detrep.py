@@ -1,18 +1,77 @@
 import numpy as np
 import pytest
 
-from bicyclic.detrep import (AglerPair, DetRep, det_p_extraction,
-                             load_pair_dataset, polynomial_from_unitary,
-                             random_unitary, unitary_from_pair,
-                             verify_agler_identity)
-from bicyclic.poly2 import Poly2, coeff_distance, compute_h, normalize_symmetric
+from bicyclic._roots import interpolate_roots_of_unity, roots_low_first
+from bicyclic.detrep import (AglerPair, DetRep, load_pair_dataset,
+                             polynomial_from_unitary, random_unitary,
+                             unitary_from_pair, verify_agler_identity)
+from bicyclic.poly2 import (Poly2, coeff_distance, compute_h, normalize_symmetric,
+                            unimodular_slice_roots)
 from bicyclic.stability import bidisk_zero_scan
 from conftest import torus_samples
+
+INNER_RADIUS_TOL = 1e-8     # a det P root below 1 - tol lies inside the disk
 
 
 def rotation_family(a: float) -> np.ndarray:
     b = np.sqrt(1.0 - a * a)
     return np.array([[a, -b], [b, a]])
+
+
+def p_matrix(pair: AglerPair) -> np.ndarray:
+    """(n, n, d+1) array: entry [i, j] holds the z2-coefficients of the
+    z1^j component of P_i."""
+    n = pair.n
+    dmax = max(p.bidegree[1] for p in pair.P)
+    return np.array([p.padded((n, dmax + 1)) for p in pair.P])
+
+
+def det_p_extraction(pair_or_matrix) -> np.ndarray:
+    """Determinant of the z2-coefficient matrix P(z2) as a univariate polynomial.
+
+    Accepts an AglerPair or a raw (n, n, d+1) coefficient array.  Evaluates
+    the matrix determinant at enough roots of unity, interpolates, and
+    asserts the result has no roots strictly inside the unit disk.
+    """
+    if isinstance(pair_or_matrix, AglerPair):
+        mat = p_matrix(pair_or_matrix)
+    else:
+        mat = np.asarray(pair_or_matrix, dtype=complex)
+        if mat.ndim != 3 or mat.shape[0] != mat.shape[1]:
+            raise ValueError("expected an (n, n, d+1) coefficient array")
+    n, _, dp1 = mat.shape
+    S = n * (dp1 - 1) + 1
+    nodes = np.exp(2j * np.pi * np.arange(S) / S)
+    V = nodes[:, None] ** np.arange(dp1)[None, :]
+    dets = np.linalg.det(np.einsum("ijd,sd->sij", mat, V))
+    coeffs = interpolate_roots_of_unity(dets)
+    for r in roots_low_first(coeffs):
+        if abs(r) < 1.0 - INNER_RADIUS_TOL:
+            raise ValueError(
+                f"det P has a zero at {r:.6g} inside the unit disk; pair invalid")
+    return coeffs
+
+
+def sampled_procrustes_oracle(f: Poly2, pair: AglerPair) -> np.ndarray:
+    """The unitary mapping (z1 P, z2 Q) to (P, Q) at torus zeros of f, by an
+    orthogonal Procrustes fit over the zeros on 64 circle slices."""
+    nodes = np.exp(1j * (np.linspace(0.0, 2 * np.pi, 64, endpoint=False) + 0.05))
+    z2, which, _ = unimodular_slice_roots(f, nodes)
+    z1 = nodes[which]
+    Pv = np.array([p(z1, z2) for p in pair.P])
+    Qv = np.array([q(z1, z2) for q in pair.Q])
+    X = np.vstack([z1 * Pv, z2 * Qv])
+    Y = np.vstack([Pv, Qv])
+    W, _, Vh = np.linalg.svd(Y @ X.conj().T)
+    return W @ Vh
+
+
+# (name, g, pair): the f0 pair of 1 + z1 z2 and every bundled pair, g the
+# normalized f
+BUNDLED = [("f0-fixture", Poly2([[1, 0], [0, 1]]),
+            AglerPair((Poly2.constant(2.0),), (Poly2.monomial(1, 0, 2.0),)))] + [
+    (name, normalize_symmetric(entry["f"])[0], AglerPair(entry["P"], entry["Q"]))
+    for name, entry in load_pair_dataset().items()]
 
 
 class TestPolynomialFromUnitary:
@@ -139,16 +198,6 @@ class TestUnitaryFromPair:
         assert coeff_distance(polynomial_from_unitary(rep), g) <= 1e-8
         assert np.abs(np.abs(rep.U) - np.array([[0, 1], [1, 0]])).max() <= 1e-8
 
-    def test_scaled_pair_same_unitary(self, f0):
-        # scaling P and Q together leaves the Procrustes fit unchanged (the
-        # rescaled pair no longer satisfies the decomposition identity, so
-        # the identity gate is bypassed for the gauge comparison)
-        p1 = AglerPair((Poly2.constant(2.0),), (Poly2.monomial(1, 0, 2.0),))
-        p2 = AglerPair((Poly2.constant(4.0),), (Poly2.monomial(1, 0, 4.0),))
-        U1 = unitary_from_pair(f0, p1).U
-        U2 = unitary_from_pair(f0, p2, check_identity=False).U
-        assert np.abs(U1 - U2).max() <= 1e-10
-
     def test_invalid_pair_rejected(self, f0):
         bad = AglerPair((Poly2.constant(2.0),), (Poly2.monomial(1, 0, 1.0),))
         with pytest.raises(ValueError, match="identity"):
@@ -160,10 +209,15 @@ class TestUnitaryFromPair:
         with pytest.raises(ValueError, match="exceeds"):
             AglerPair((Poly2.constant(1.0),), (Poly2.monomial(0, 1),))
 
-    def test_too_few_samples_rejected(self, f0):
-        pair = AglerPair((Poly2.constant(2.0),), (Poly2.monomial(1, 0, 2.0),))
-        with pytest.raises(ValueError):
-            unitary_from_pair(f0, pair, zero_samples=1)
+    @pytest.mark.parametrize("name,g,pair", BUNDLED, ids=[b[0] for b in BUNDLED])
+    def test_exact_closure_matches_sampled_oracle(self, name, g, pair):
+        # the unitary closed from the coefficient colligation is the one the
+        # Procrustes fit over sampled torus zeros finds
+        rep = unitary_from_pair(g, pair)
+        size = rep.n + rep.m
+        assert np.abs(rep.U - sampled_procrustes_oracle(g, pair)).max() <= 1e-12
+        assert np.abs(rep.U.conj().T @ rep.U - np.eye(size)).max() <= 1e-14
+        assert coeff_distance(polynomial_from_unitary(rep), g) <= 1e-14 * g.scale
 
 
 class TestDetPExtraction:
@@ -175,7 +229,7 @@ class TestDetPExtraction:
     def test_fa_degree_bound(self):
         ds = load_pair_dataset()
         pair = AglerPair(ds["fa_05"]["P"], ds["fa_05"]["Q"])
-        mat = pair.p_matrix()
+        mat = p_matrix(pair)
         p = det_p_extraction(pair)
         n, _, dp1 = mat.shape
         assert p.size <= n * (dp1 - 1) + 1

@@ -8,7 +8,8 @@ from bicyclic.classifier import Threshold, classify
 from bicyclic.curvegeom import fa_poly
 from bicyclic.detrep import DetRep, polynomial_from_unitary, random_unitary
 from bicyclic._roots import roots_low_first
-from bicyclic.poly2 import CIRCLE_BAND, Poly2, slice_rows, sylvester_resultant_z2
+from bicyclic.poly2 import (CIRCLE_BAND, ZERO_VALUE_TOL, Poly2, slice_rows,
+                            sylvester_resultant_z2)
 from bicyclic.stability import (TorusZeroKind, bidisk_zero_scan,
                                 torus_zero_classification, zero_reports)
 
@@ -101,7 +102,7 @@ class TestBidiskScan:
         assert r.has_zero_in_open_bidisk and r.has_zero_on_closed_bidisk
         z1, z2 = r.witness
         f = Poly2([[0, 0], [0, 1]])
-        assert abs(f(z1, z2)) <= 1e-6 * f.scale
+        assert abs(f(z1, z2)) <= ZERO_VALUE_TOL * f.scale
 
     def test_triangle_inequality_clear(self):
         r = bidisk_zero_scan(Poly2([[3, 1], [1, 0]]))
@@ -283,7 +284,7 @@ class TestSliceEngine:
         assert v.threshold is Threshold.NOT_CYCLIC_ANY_ALPHA
         z1, z2 = v.per_factor[0].stability.witness
         assert abs(z1) < 1 and abs(z2) < 1
-        assert abs(f(z1, z2)) <= 1e-6 * f.scale
+        assert abs(f(z1, z2)) <= ZERO_VALUE_TOL * f.scale
 
     @pytest.mark.parametrize("d", [-1e-2, -1e-6])
     def test_pocket_closed(self, d):
@@ -323,6 +324,39 @@ class TestSliceEngine:
             f = polynomial_from_unitary(DetRep(1.0, random_unitary(n + m, rng), n, m))
             for r, expected in truth.items():
                 assert classify([radial(f, r)]).threshold is expected
+
+
+def _witness_probe():
+    """Determinantal (n, n) f(r z) for n = 1..6 at five radii r > 1, four
+    unitaries each (seed 9), grouped by (n, r), and the thin pockets
+    2 - z1 - (1 + d) z2 for d = 1e-1 .. 1e-8."""
+    rng = np.random.default_rng(9)
+    groups = {}
+    for n in range(1, 7):
+        for r in (1 / 0.9, 1 / 0.95, 1 / 0.99, 1 / (1 - 1e-6), 1 / (1 - 1e-9)):
+            groups[f"det{n}-r{r:.9g}"] = [
+                radial(polynomial_from_unitary(DetRep(1.0, random_unitary(2 * n, rng), n, n)), r)
+                for _ in range(4)]
+    for k in range(1, 9):
+        groups[f"pocket-1e-{k}"] = [two_minus_powers(1, 10.0 ** -k)]
+    return groups
+
+
+_WITNESS_PROBE = _witness_probe()
+
+
+@pytest.mark.parametrize("name", list(_WITNESS_PROBE))
+def test_reported_points_are_zeros(name):
+    # the witness and every torus point pass the package's one zero test;
+    # an open-zero witness lies in the open bidisk.  On these inputs many
+    # witnesses come from the continuation inwards from a slice root
+    for f in _WITNESS_PROBE[name]:
+        report, torus = zero_reports(f)
+        assert report.has_zero_in_open_bidisk
+        z1, z2 = report.witness
+        assert abs(z1) < 1 and abs(z2) < 1
+        for p in (report.witness,) + torus.points:
+            assert abs(f(*p)) <= ZERO_VALUE_TOL * f.scale
 
 
 def _invariance_input(kind, k, seed):
@@ -387,9 +421,13 @@ class TestCrossingAngles:
             for _ in range(4):
                 f = Poly2(rng.standard_normal((n + 1, n + 1))
                           + 1j * rng.standard_normal((n + 1, n + 1)))
-                match, (angles, _) = stability._crossing_angles(f)
+                angles, _ = stability._crossing_angles(f)[1]
                 assert angles.size == 2 * n * n
-                roots = roots_low_first(sylvester_resultant_z2(f, Poly2(match.defect)))
+                # f~ - lambda f, lambda = <f~, f> / |<f~, f>|
+                a = f.coeffs
+                b = np.conj(a[::-1, ::-1])
+                ip = np.vdot(a, b)
+                roots = roots_low_first(sylvester_resultant_z2(f, Poly2(b - ip / abs(ip) * a)))
                 for t in np.angle(roots[np.abs(np.abs(roots) - 1) <= CIRCLE_BAND]):
                     assert np.abs((angles - t + np.pi) % (2 * np.pi) - np.pi).min() <= 1e-10
 

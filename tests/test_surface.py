@@ -27,7 +27,7 @@ EXPORTS = {
     "TypeReport", "UnimodularMatch",
     "alpha_norm", "bidisk_zero_scan", "classify", "classify_with_evidence",
     "coeff_distance", "cofactor_experiment", "compute_h", "curve_type_at",
-    "decay_fit", "det_p_extraction", "distance_profile", "fa_poly",
+    "decay_fit", "distance_profile", "fa_poly",
     "fourier_coefficients", "load_pair_dataset", "mobius_numerator", "mobius_retype",
     "noncyclicity_certificate", "normalize_symmetric", "optimal_approximant",
     "polynomial_from_unitary", "random_unitary", "riesz_energy",
@@ -111,6 +111,6 @@ def test_every_tolerance_has_a_readme_row():
     section = (ROOT / "README.md").read_text().split("## Tolerances")[1].split("\n## ")[0]
     rows = set(re.findall(r"^\| `([\w.]+)` \|", section, re.M))
     tolerances = module_tolerances()
-    assert {"stability.WITNESS_VALUE_TOL", "curvegeom.DERIVATIVE_REL_THRESHOLD",
+    assert {"stability.OPEN_MARGIN", "curvegeom.DERIVATIVE_REL_THRESHOLD",
             "capacity.CONVERGENT_RATIO", "_roots.INTERP_TRIM"} <= tolerances
     assert tolerances <= rows

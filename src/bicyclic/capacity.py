@@ -246,6 +246,11 @@ def riesz_energy(table: FourierTable, alpha: float, cutoffs) -> EnergyReport:
 
     S(c) = 1 + sum_{k=1..c} |mu(k,0)|^2 / k^a + sum_{l=1..c} |mu(0,l)|^2 / l^a
          + 1/2 sum_{0<|k|<=c} sum_{l=1..c} |mu(k,l)|^2 / (|k|^a l^a).
+
+    Only the slice |k| <= c, 0 <= l <= c of the table at the largest cutoff
+    is read, with |mu|^2 as re^2 + im^2.  Each term is weighted once, the
+    weights built from one vector of l^-a, and each S(c) is the sum of one
+    sub-block of the weighted terms.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
@@ -253,20 +258,19 @@ def riesz_energy(table: FourierTable, alpha: float, cutoffs) -> EnergyReport:
     if (any(c <= 0 or c > table.K for c in cutoffs)
             or any(b <= a for a, b in zip(cutoffs, cutoffs[1:]))):
         raise ValueError("cutoffs must be strictly increasing and bounded by K")
-    K = table.K
-    mods2 = table.moduli() ** 2
-
-    sums = []
-    for c in cutoffs:
-        ax1 = sum(mods2[K + k, K] / k ** alpha for k in range(1, c + 1))
-        ax2 = sum(mods2[K, K + l] / l ** alpha for l in range(1, c + 1))
-        kidx = np.concatenate([np.arange(-c, 0), np.arange(1, c + 1)])
-        lidx = np.arange(1, c + 1)
-        block = mods2[np.ix_(K + kidx, K + lidx)]
-        wkk = np.abs(kidx).astype(float) ** (-alpha)
-        wll = lidx.astype(float) ** (-alpha)
-        dbl = 0.5 * float(wkk @ block @ wll)
-        sums.append(1.0 + ax1 + ax2 + dbl)
+    K, c = table.K, cutoffs[-1]
+    # mu(k, l) on the slice |k| <= c, 0 <= l <= c, row k at index k + c
+    mu = table.coeffs[K - c: K + c + 1, K: K + c + 1]
+    # the weight of each term: 1/2 |k|^-a l^-a off the axes, k^-a on the
+    # axis l = 0 for k > 0, l^-a on the axis k = 0, and 0 at (0, 0), whose
+    # term is the leading 1
+    w = np.zeros(c + 1)
+    w[1:] = np.arange(1.0, c + 1) ** -alpha
+    weight = np.outer(np.concatenate([w[:0:-1], w]), 0.5 * w)
+    weight[c + 1:, 0] = w[1:]
+    weight[c] = w
+    terms = weight * (mu.real ** 2 + mu.imag ** 2)
+    sums = [1.0 + float(terms[c - d: c + d + 1, : d + 1].sum()) for d in cutoffs]
 
     slope, _, _ = line_fit(np.log(np.asarray(cutoffs, dtype=float)), np.log(np.asarray(sums)))
     return EnergyReport(alpha=alpha, cutoffs=tuple(cutoffs),
@@ -316,10 +320,16 @@ def noncyclicity_certificate(f: Poly2, alpha: float, K: int = 128) -> EnergyRepo
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
-    _check_at_least("K", K, 8)
     tz = torus_zero_classification(f)
     if tz.kind is not TorusZeroKind.CURVE:
         raise ValueError("certificate requires a torus zero curve")
+    return _certificate(f, alpha, K)
+
+
+def _certificate(f: Poly2, alpha: float, K: int) -> EnergyReport:
+    """`noncyclicity_certificate` for an f already known to vanish on a torus
+    curve, as `classify_with_evidence` knows from its verdict."""
+    _check_at_least("K", K, 8)
     table = fourier_coefficients(branch_measure(f, K), K)
     return riesz_energy(table, alpha, [K // 8, K // 4, K // 2, K])
 

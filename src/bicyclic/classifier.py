@@ -20,10 +20,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .capacity import EnergyReport, TrendVerdict, noncyclicity_certificate
+from .capacity import EnergyReport, TrendVerdict, _certificate
 from .dirichlet import AlphaSpace, distance_profile
 from .poly2 import Poly2
 from .stability import BidiskStabilityReport, TorusZeroKind, TorusZeroSet, zero_reports
+
+MONOTONE_TOL = 1e-9          # a profile rising by more than it between caps is flagged
 
 
 class Threshold(enum.IntEnum):
@@ -164,12 +166,12 @@ def classify_with_evidence(factors, alphas, degree_caps,
     for alpha in alphas:
         space = AlphaSpace(alpha)
         profile = tuple(distance_profile(product, space, degree_caps))
-        if any(b.distance > a.distance + 1e-9 for a, b in zip(profile, profile[1:])):
+        if any(b.distance > a.distance + MONOTONE_TOL for a, b in zip(profile, profile[1:])):
             flags.append(f"distance profile not monotone at alpha={alpha}")
         cert = None
         if (verdict.threshold is Threshold.CYCLIC_IFF_ALPHA_LEQ_HALF
                 and 0.5 < alpha <= 1.0 and curve_factor is not None):
-            cert = noncyclicity_certificate(curve_factor, alpha, K=certificate_K)
+            cert = _certificate(curve_factor, alpha, certificate_K)
             if cert.verdict is not TrendVerdict.CONVERGENT:
                 flags.append(
                     f"energy certificate at alpha={alpha} returned {cert.verdict.value} "

@@ -23,6 +23,7 @@ from .poly2 import (ZERO_VALUE_TOL, MobiusParams, Poly2, mobius_numerator,
 
 TWO_PI = 2.0 * np.pi
 ROOT_COLLISION_TOL = 1e-6    # branch ambiguity threshold
+FULL_WINDOW_TOL = 1e-9       # a window this close to 2 pi long is a full turn
 DERIVATIVE_REL_THRESHOLD = 1e-7
 RETYPE_NODES = 256           # nodes of each branch mobius_retype traces
 RETYPE_HALF_WIDTH = 0.8      # half width of its parameter window
@@ -101,11 +102,12 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
     The unimodular roots z2 of f(e^{it}, .) at every node come from
     `poly2.unimodular_slice_roots`; the branch is selected by continuity
     (nearest argument to the previous node, seeded by `start_hint` or the
-    smallest principal argument).  The arguments are unwrapped to a
-    continuous m(t).  Over a full window of length 2 pi the branch is
-    periodic iff one more step of the same rule, past the last node, picks
-    node 0's root; its winding is then the unwrapped m there, less m(t0),
-    over 2 pi.  The derivatives m', ..., m^(5) come from
+    smallest principal argument), and a node with one root takes it
+    without a search.  The arguments are unwrapped to a continuous m(t).
+    Over a full window, of length within FULL_WINDOW_TOL of 2 pi, the
+    branch is periodic iff one more step of the same rule, past the last
+    node, picks node 0's root; its winding is then the unwrapped m there,
+    less m(t0), over 2 pi.  The derivatives m', ..., m^(5) come from
     `_branch_derivatives`.  A node without a unimodular root, colliding
     roots, a traced node where |f| exceeds ZERO_VALUE_TOL times the scale,
     or a step whose unwrapped increment differs from the trapezoid rule
@@ -136,23 +138,25 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
         lo = ends[i - 1] if i else 0
         if lo == hi:
             raise ValueError(f"no unimodular z2 root at t = {ts[i]:.6f}")
-        if prev is None:
-            if start_hint is None:
+        if hi - lo == 1:
+            j = lo      # every rule below picks the only root
+        else:
+            if prev is not None:
+                predicted = cmath.exp(1j * (prev + slope * h))
+                j = min(range(lo, hi), key=lambda r: abs(roots[r] - predicted))
+            elif start_hint is None:
                 j = min(range(lo, hi), key=lambda r: angles[r] % TWO_PI)
             else:
                 target = cmath.exp(1j * start_hint)
                 j = min(range(lo, hi), key=lambda r: abs(roots[r] - target))
-            first = j
-        else:
-            predicted = cmath.exp(1j * (prev + slope * h))
-            j = min(range(lo, hi), key=lambda r: abs(roots[r] - predicted))
-        if hi - lo > 1:
             d = sorted(abs(roots[r] - roots[j]) for r in range(lo, hi))
             if d[1] < ROOT_COLLISION_TOL:
                 raise ValueError(
                     f"branch ambiguity at t = {ts[i]:.6f}: two roots within {d[1]:.2e}")
         arg = angles[j]
-        if prev is not None:
+        if prev is None:
+            first = j
+        else:
             k = round((prev + slope * h - arg) / TWO_PI)
             arg += TWO_PI * k
             slope = (arg - prev) / h
@@ -162,7 +166,7 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
 
     # closure: one more step of the selection, past the last node, at node 0
     m_next = prev + slope * h
-    periodic = abs(t1 - t0 - TWO_PI) <= 1e-9 and first == min(
+    periodic = abs(t1 - t0 - TWO_PI) <= FULL_WINDOW_TOL and first == min(
         range(ends[0]), key=lambda r: abs(roots[r] - cmath.exp(1j * m_next)))
     winding = round((m_next - m[0]) / TWO_PI) if periodic else 0
 

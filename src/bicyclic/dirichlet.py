@@ -11,7 +11,8 @@ band is one small Hankel product of f's weighted autocorrelation.  It is
 also block diagonal over the cosets of the lattice spanned by the
 differences of supp f.  The arithmetic is real when f has real
 coefficients.  A whole distance profile shares one Gram matrix, built at
-the largest cap.
+the largest cap, and one Cholesky factor of it, computed by blocks along
+its band.
 """
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly2 import Poly2
+
+_BAND_BLOCK_ROWS = 64     # least rows per block of the band factor
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,67 @@ def _swap_symmetric(f: Poly2) -> bool:
     return a.shape[0] == a.shape[1] and (np.array_equal(a, a.T) or np.array_equal(a, -a.T))
 
 
+def _block_size(degrees: np.ndarray, reach: int) -> int:
+    """Rows per block of `_band_cholesky` for a Gram block whose basis has the
+    nondecreasing total degrees `degrees`: entry (r, s) vanishes when
+    |deg r - deg s| > reach, so it vanishes more than the returned size less
+    one off the diagonal, and the factor is block lower-bidiagonal."""
+    last = np.searchsorted(degrees, degrees + reach, side="right") - 1
+    return max(_BAND_BLOCK_ROWS, int((last - np.arange(degrees.size)).max()) + 1)
+
+
+def _band_cholesky(H: np.ndarray, bs: int) -> tuple[list, list]:
+    """The Cholesky factor L of a Hermitian positive definite H whose entries
+    vanish more than bs - 1 off the diagonal, by blocks of bs rows (Golub &
+    Van Loan, Matrix Computations, 4.3).
+
+    L is then block lower-bidiagonal: D[k] is its k-th diagonal block and
+    S[k] the block below it, from S[k] D[k]^H = H[block k + 1, block k].
+    Each diagonal block is factored after subtracting the product of the
+    block to its left.  Raises LinAlgError where a block is not positive
+    definite.
+    """
+    D, S = [], []
+    for start in range(0, H.shape[0], bs):
+        block = H[start:start + bs, start:start + bs]
+        if D:
+            S.append(np.linalg.solve(D[-1], H[start - bs:start, start:start + bs]).conj().T)
+            block = block - S[-1] @ S[-1].conj().T
+        D.append(np.linalg.cholesky(block))
+    return D, S
+
+
+def _forward(D: list, S: list, b: np.ndarray) -> np.ndarray:
+    """y with L y = b, by block forward substitution on `_band_cholesky`'s L.
+
+    L is lower triangular, so L_B^-1 b[:B] = y[:B] for the leading B x B
+    part L_B of L.
+    """
+    bs = D[0].shape[0]
+    y = np.empty_like(b)
+    y[:bs] = np.linalg.solve(D[0], b[:bs])
+    for k in range(1, len(D)):
+        rows = slice(k * bs, (k + 1) * bs)
+        y[rows] = np.linalg.solve(D[k], b[rows] - S[k - 1] @ y[rows.start - bs:rows.start])
+    return y
+
+
+def _backward(D: list, S: list, y: np.ndarray) -> np.ndarray:
+    """x with L_B^H x = y, by block back substitution on the leading B x B
+    part L_B of `_band_cholesky`'s L, B = y.size."""
+    bs = D[0].shape[0]
+    x = np.empty_like(y)
+    stop = y.size
+    for k in reversed(range(-(-stop // bs))):
+        start = k * bs
+        rhs = y[start:stop]
+        if stop < y.size:
+            rhs = rhs - S[k][: y.size - stop].conj().T @ x[stop:stop + bs]
+        x[start:stop] = np.linalg.solve(D[k][: stop - start, : stop - start].conj().T, rhs)
+        stop = start
+    return x
+
+
 def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResult]:
     """Optimal approximants for a strictly increasing list of degree caps.
 
@@ -171,15 +235,19 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
     <1, z^b f> = conj(a00) e_0 vanishes off b = (0, 0).  So p lies on the
     shifts in L, the coset of (0, 0), and only that block of G is built
     (`_in_lattice`), once at max(caps) with the basis in degree order: the
-    basis of a cap is a prefix, so its block is a leading block.  A leading
-    block of a positive definite matrix is positive definite, so one
-    `cholesky` of the top-cap block checks every cap; each cap then costs
-    one linear solve on its leading block.  For f whose support differences
-    span Z^2, L is Z^2.
+    basis of a cap is a prefix, so its block is a leading block.  For f whose
+    support differences span Z^2, L is Z^2.  In degree order an entry
+    vanishes when the total degrees of its shifts differ by more than
+    n + m, so the top-cap block is factored once, by blocks along its band
+    (`_band_cholesky`); the leading part of that factor is the factor of a
+    cap's leading block.  So y = L^-1 conj(a00) e_0 is formed once
+    (`_forward`), each cap costs one block back substitution on its leading
+    part (`_backward`), and a block that is not positive definite names the
+    first cap whose leading block fails.
 
     When f(z2, z1) = +-f(z1, z2) the swap of the shifts (i, j) <-> (j, i)
     maps L to itself and commutes with G, and the right-hand side is even,
-    so the solve runs on the even half of the block, in the basis
+    so the factor runs on the even half of the block, in the basis
     v_r = (e_r + e_r') / |e_r + e_r'| over the shifts r = (i, j) with
     i <= j and their mirrors r' = (j, i), and p comes out exactly
     symmetric.  Only the rows r of G are built: the even block is
@@ -216,24 +284,26 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
     else:
         H = _gram(f, space, cap, bi, bj, np.arange(bi.size))
     sizes = np.searchsorted(bi + bj, caps, side="right")
-    a00 = f.coeffs[0, 0]
-    rhs0 = np.conj(a00) if H.dtype.kind == "c" else a00.real
 
     try:
-        np.linalg.cholesky(H)
+        D, S = _band_cholesky(H, _block_size(bi + bj, sum(f.bidegree)))
     except np.linalg.LinAlgError:
-        # name the first cap whose block fails; the last block is H itself
+        # name the first cap whose leading block fails; the top cap's block
+        # is H itself, named when no smaller one fails
         for N, B in zip(caps, sizes):
             try:
                 np.linalg.cholesky(H[:B, :B])
             except np.linalg.LinAlgError:
-                raise ValueError(f"singular Gram matrix: the block of degree cap {N} "
-                                 "is not positive definite") from None
+                break
+        raise ValueError(f"singular Gram matrix: the block of degree cap {N} "
+                         "is not positive definite") from None
+    a00 = f.coeffs[0, 0]
+    rhs = np.zeros(bi.size, dtype=H.dtype)
+    rhs[0] = np.conj(a00) if H.dtype.kind == "c" else a00.real
+    y = _forward(D, S, rhs)
     out = []
     for N, B in zip(caps, sizes):
-        rhs = np.zeros(B, dtype=H.dtype)
-        rhs[0] = rhs0
-        x = np.linalg.solve(H[:B, :B], rhs)
+        x = _backward(D, S, y[:B])
         i, j = bi[:B], bj[:B]
         coeffs = np.zeros((N + 1, N + 1), dtype=complex)
         if swap:

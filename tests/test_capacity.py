@@ -352,7 +352,61 @@ class TestDecayFit:
             decay_fit(line_table(64), 5, tau_claimed=tau)
 
 
+def riesz_energy_oracle(table, alpha, cutoffs):
+    """The energy partial sums term by term from the moduli of the whole
+    table, one Python sum per axis and one matrix product per double sum."""
+    K = table.K
+    mods2 = table.moduli() ** 2
+    sums = []
+    for c in cutoffs:
+        ax1 = sum(mods2[K + k, K] / k ** alpha for k in range(1, c + 1))
+        ax2 = sum(mods2[K, K + l] / l ** alpha for l in range(1, c + 1))
+        kidx = np.concatenate([np.arange(-c, 0), np.arange(1, c + 1)])
+        lidx = np.arange(1, c + 1)
+        block = mods2[np.ix_(K + kidx, K + lidx)]
+        wkk = np.abs(kidx).astype(float) ** (-alpha)
+        wll = lidx.astype(float) ** (-alpha)
+        sums.append(1.0 + ax1 + ax2 + 0.5 * float(wkk @ block @ wll))
+    return sums
+
+
+def energy_oracle_tables():
+    """{name: table} at K 8, 64 and 256: the line and horizontal tables and
+    the Fourier tables of this file's measures, where they have 8K nodes."""
+    out = {}
+    for K in (8, 64, 256):
+        nodes = max(1024, 8 * K)
+        out[f"line-K{K}"] = lambda K=K, nodes=nodes: line_table(K, nodes)
+        out[f"horizontal-K{K}"] = lambda K=K, nodes=nodes: horizontal_table(K, nodes)
+        # the uniform oracle measure has 1,024 nodes, too few for K 256
+        for kind in MEASURE_KINDS if K <= 128 else MEASURE_KINDS[:2]:
+            out[f"{kind}-K{K}"] = lambda K=K, kind=kind: fourier_coefficients(
+                oracle_measure(kind), K)
+        for name in ACCURACY_INPUTS:
+            if ACCURACY_INPUTS[name][1] >= K:
+                out[f"{name}-K{K}"] = lambda K=K, name=name: fourier_coefficients(
+                    accuracy_case(name)[0], K)
+    return out
+
+
+ENERGY_ORACLE_TABLES = energy_oracle_tables()
+
+
 class TestRieszEnergy:
+    @pytest.mark.parametrize("name", list(ENERGY_ORACLE_TABLES))
+    def test_slice_sums_match_term_by_term_oracle(self, name):
+        # the sums over weighted sub-blocks of the slice |k|, l <= c agree
+        # with the term-by-term sums over the whole table to 1e-14, with the
+        # same verdict
+        table = ENERGY_ORACLE_TABLES[name]()
+        K = table.K
+        cutoffs = [K // 8, K // 4, K // 2, K]
+        for alpha in (0.4, 0.75, 1.0):
+            rep = riesz_energy(table, alpha, cutoffs)
+            oracle = riesz_energy_oracle(table, alpha, cutoffs)
+            assert np.allclose(rep.partial_sums, oracle, rtol=1e-14, atol=0.0)
+            assert rep.verdict is trend_verdict(oracle)
+
     def test_diagonal_convergent_above_half(self):
         rep = riesz_energy(line_table(64), 0.75, [8, 16, 32, 64])
         assert rep.verdict is TrendVerdict.CONVERGENT

@@ -57,6 +57,16 @@ class TestOneEngineRun:
         assert fa.stability == stability.bidisk_zero_scan(two_minus)
         assert fa.torus_zeros == stability.torus_zero_classification(two_minus)
 
+    def test_evidence_reuses_the_verdict(self, monkeypatch):
+        # the certificate at alpha 0.75 takes the curve from the verdict, so
+        # the slice engine runs once per factor
+        calls = []
+        engine = stability._slice_engine
+        monkeypatch.setattr(stability, "_slice_engine", lambda f: calls.append(f) or engine(f))
+        v = classify_with_evidence([fa_poly(0.5)], (0.25, 0.75), [0, 4, 8], 64)
+        assert v.evidence[1].certificate.verdict is TrendVerdict.CONVERGENT
+        assert len(calls) == 1
+
 
 class TestCombination:
     def test_minimum_rule(self, f0):

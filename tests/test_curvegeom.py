@@ -81,6 +81,8 @@ class TestTraceBranch:
         (Poly2([[1, 0, 0], [0, 0, -1]]), (0.0, TWO_PI), None),      # 1 - z1 z2^2: two roots
         (Poly2([[1, 0, 0], [0, 0, -1]]), (0.5, 2.0), -0.3),   # not the least argument
         (fa_poly(0.7), (1.0, 1.6), 2.0),
+        (fa_poly(0.5), (0.0, TWO_PI), None),     # one root per node: taken without a search
+        (Poly2([[1, 0, 0], [0, 0, 1]]), (0.0, TWO_PI), None),       # 1 + z1 z2^2, m = 2
     ])
     def test_selection_matches_numpy_reference(self, f, window, hint):
         # the per-node selection runs on Python scalars; same branch, same bits

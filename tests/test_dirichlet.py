@@ -5,7 +5,8 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from bicyclic import dirichlet
-from bicyclic.dirichlet import (AlphaSpace, _gram, _support_lattice, _swap_symmetric,
+from bicyclic.dirichlet import (AlphaSpace, _backward, _band_cholesky, _block_size,
+                                _forward, _gram, _support_lattice, _swap_symmetric,
                                 _total_degree_basis, alpha_norm, distance_profile,
                                 optimal_approximant)
 from bicyclic.poly2 import Poly2
@@ -79,6 +80,16 @@ def gram_matrix(f: Poly2, space: AlphaSpace, cap: int) -> np.ndarray:
     """`_gram` over the total-degree basis of `cap`, in degree order."""
     bi, bj = np.array(_total_degree_basis(cap)).T
     return _gram(f, space, cap, bi, bj, np.arange(bi.size))
+
+
+def band_route(H, degrees, reach, rhs0, B):
+    """The profile's arithmetic for one cap: the band factor of the whole
+    block H, y = L^-1 rhs0 e_0, and x by back substitution on the leading
+    B x B part of L."""
+    D, S = _band_cholesky(H, _block_size(np.asarray(degrees), reach))
+    rhs = np.zeros(H.shape[0], dtype=H.dtype)
+    rhs[0] = rhs0
+    return _backward(D, S, _forward(D, S, rhs)[:B])
 
 
 def oracle_design(f, alpha, N):
@@ -465,24 +476,23 @@ class TestCosetBlocks:
 
     def test_one_coset_keeps_degree_order(self):
         # support differences spanning Z^2 give one block: without swap
-        # symmetry the profile is the same arithmetic as a solve on the
-        # leading blocks of gram_matrix
+        # symmetry the profile is the same arithmetic as the band factor of
+        # gram_matrix and a back substitution on its leading blocks
         f = Poly2([[2, -0.5], [-1, 0]])
         assert _support_lattice(f) == (1, 0, 1) and not _swap_symmetric(f)
         G = gram_matrix(f, AlphaSpace(0.75), 8)
+        degrees = [i + j for (i, j) in _total_degree_basis(8)]
         for r in distance_profile(f, AlphaSpace(0.75), [0, 4, 8]):
             N = r.degree_cap
             B = (N + 1) * (N + 2) // 2
-            rhs = np.zeros(B)
-            rhs[0] = 2.0
-            x = np.linalg.solve(G[:B, :B], rhs)
+            x = band_route(G, degrees, 2, 2.0, B)
             coeffs = np.zeros((N + 1, N + 1), dtype=complex)
             coeffs[tuple(np.array(_total_degree_basis(N)).T)] = x
             assert np.array_equal(r.approximant.coeffs, Poly2(coeffs).coeffs)
 
     def test_swap_halves_keep_their_arithmetic(self):
         # 2 - z1 - z2 is one coset that the swap maps to itself: the profile
-        # is the same arithmetic as the solve on the leading blocks of G in
+        # is the same arithmetic as the band route on the even half of G, in
         # the even basis (e_ij + e_ji) / |e_ij + e_ji|, i <= j, that block
         # being E = w (R[:, even] + R[:, mirror]) from the rows R = G[even],
         # with w = 2 / (|e_r + e_r'| |e_s + e_s'|)
@@ -500,12 +510,11 @@ class TestCosetBlocks:
                      np.where(np.logical_or.outer(diagonal, diagonal), np.sqrt(0.5), 1.0))
         R = G[even]
         E = (R[:, even] + R[:, mirror[even]]) * w
+        degrees = [sum(basis[k]) for k in even]
         for r in distance_profile(f, space, [0, 4, 8]):
             N = r.degree_cap
-            B = sum(sum(basis[k]) <= N for k in even)
-            rhs = np.zeros(B)
-            rhs[0] = 2.0
-            x = np.linalg.solve(E[:B, :B], rhs) * np.where(diagonal[:B], 1.0, np.sqrt(0.5))
+            B = sum(d <= N for d in degrees)
+            x = band_route(E, degrees, 2, 2.0, B) * np.where(diagonal[:B], 1.0, np.sqrt(0.5))
             coeffs = np.zeros((N + 1, N + 1), dtype=complex)
             for k, v in zip(even[:B], x):
                 i, j = basis[k]
@@ -595,7 +604,7 @@ KERNEL_INPUTS = kernel_inputs()
 
 
 class TestSolveRoute:
-    """One positive-definiteness check per profile and one solve per cap, with
+    """One band factor per profile and one back substitution per cap, with
     the reproducing-kernel form of the distance as an exact oracle."""
 
     @pytest.mark.parametrize("name", sorted(KERNEL_INPUTS))
@@ -612,23 +621,78 @@ class TestSolveRoute:
 
     @pytest.mark.parametrize("f", [Poly2([[2, -1], [-1, 0]]), Poly2([[2, -0.5], [-1, 0]])],
                              ids=["swap-symmetric", "one coset"])
-    def test_one_cholesky_and_one_solve_per_cap(self, monkeypatch, f):
-        calls = dict.fromkeys(["cholesky", "solve", "eigvalsh", "eigh", "cond", "inv"], 0)
+    def test_band_factor_route(self, monkeypatch, f):
+        # the block is factored once, by blocks of bs rows: every cholesky
+        # and solve is on at most bs rows, and no eigenvalue, condition
+        # number or inverse is computed
+        rows = {name: [] for name in ["cholesky", "solve", "eigvalsh", "eigh", "cond", "inv"]}
 
         def counted(name):
             fn = getattr(np.linalg, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                rows[name].append(args[0].shape[0])
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in calls:
+        for name in rows:
             monkeypatch.setattr(np.linalg, name, counted(name))
         caps = [0, 8, 16, 24, 32]
         distance_profile(f, AlphaSpace(0.75), caps)
-        assert calls == {"cholesky": 1, "solve": len(caps), "eigvalsh": 0, "eigh": 0,
-                         "cond": 0, "inv": 0}
+        swap = _swap_symmetric(f)
+        degrees = np.array([i + j for (i, j) in _total_degree_basis(32) if i <= j or not swap])
+        bs = _block_size(degrees, 2)
+        blocks = -(-degrees.size // bs)
+        assert (degrees.size, bs, blocks) == ((289, 64, 5) if swap else (561, 96, 6))
+        assert len(rows["cholesky"]) == blocks
+        assert max(rows["cholesky"] + rows["solve"]) <= bs
+        assert not any(rows[name] for name in ["eigvalsh", "eigh", "cond", "inv"])
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("B", [63, 64, 65, 128, 129])
+    def test_band_factor_matches_dense_cholesky(self, rng, real, B):
+        # leading blocks of Gram matrices of bidegree (1, 1) and (1, 2) in
+        # degree order straddle the block boundaries of bs = 64; the band
+        # factor is the Cholesky factor, and the dense one vanishes exactly
+        # two or more blocks below the diagonal
+        for n, m in [(1, 1), (1, 2)]:
+            f = Poly2(rng.standard_normal((n + 1, m + 1))
+                      + (0 if real else 1j * rng.standard_normal((n + 1, m + 1))))
+            basis = _total_degree_basis(15)
+            degrees = np.array([i + j for (i, j) in basis])[:B]
+            H = gram_matrix(f, AlphaSpace(0.5), 15)[:B, :B]
+            bs = _block_size(degrees, n + m)
+            assert bs == 64
+            D, S = _band_cholesky(H, bs)
+            L = np.zeros_like(H)
+            for k, block in enumerate(D):
+                L[k * bs: k * bs + bs, k * bs: k * bs + bs] = block
+            for k, block in enumerate(S):
+                L[(k + 1) * bs: (k + 2) * bs, k * bs: (k + 1) * bs] = block
+            assert len(D) == -(-B // bs)
+            assert np.abs(L @ L.conj().T - H).max() <= 1e-13 * np.abs(H).max()
+            dense = np.linalg.cholesky(H)
+            assert np.abs(L - dense).max() <= 1e-12 * np.abs(dense).max()
+            for k in range(2, len(D)):
+                assert not dense[k * bs:, : (k - 1) * bs].any()
+
+    def test_profiles_over_three_or_more_blocks(self, rng):
+        # random complex f of bidegree (1, 1) to (2, 2) to cap 24: every
+        # block spans at least three factor blocks, and every cap agrees
+        # with the dense solve on the whole normal matrix
+        caps = [0, 8, 16, 24]
+        degrees = np.array([i + j for (i, j) in _total_degree_basis(caps[-1])])
+        for n, m in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+            f = Poly2(rng.standard_normal((n + 1, m + 1))
+                      + 1j * rng.standard_normal((n + 1, m + 1)))
+            assert _support_lattice(f) == (1, 0, 1) and not _swap_symmetric(f)
+            assert -(-degrees.size // _block_size(degrees, n + m)) >= 3
+            for r in distance_profile(f, AlphaSpace(0.5), caps):
+                dist, c = TestCosetBlocks.dense_oracle(f, 0.5, r.degree_cap)
+                assert abs(r.distance - dist) <= 1e-12 * dist
+                got = r.approximant.padded((r.degree_cap + 1, r.degree_cap + 1))
+                basis = _total_degree_basis(r.degree_cap)
+                assert max(abs(got[i, j] - c[b]) for b, (i, j) in enumerate(basis)) <= 1e-10
 
     def test_singular_block_names_its_cap(self, monkeypatch):
         # a Cholesky that fails from block size 40 on: without swap symmetry

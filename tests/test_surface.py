@@ -112,5 +112,6 @@ def test_every_tolerance_has_a_readme_row():
     rows = set(re.findall(r"^\| `([\w.]+)` \|", section, re.M))
     tolerances = module_tolerances()
     assert {"stability.OPEN_MARGIN", "curvegeom.DERIVATIVE_REL_THRESHOLD",
-            "capacity.CONVERGENT_RATIO", "_roots.INTERP_TRIM"} <= tolerances
+            "capacity.CONVERGENT_RATIO", "_roots.INTERP_TRIM", "classifier.MONOTONE_TOL",
+            "curvegeom.FULL_WINDOW_TOL"} <= tolerances
     assert tolerances <= rows

@@ -25,6 +25,8 @@ DIVERGENT_RATIO = 0.98       # increment ratio above which increments count as n
 NEGLIGIBLE_INCREMENT = 1e-12
 _LATTICE_BLOCK_ROWS = 64     # lattice rows per block of the cofactor experiment
 _FOURIER_BLOCK_NODES = 256   # support nodes per block of the Fourier table
+_FOURIER_BLOCK_MODES = 32    # modes l per FFT block of a full-turn Fourier table
+_TWO_PI_LOW = 2.4492935982947064e-16   # 2 pi - TWO_PI, to 6e-33
 
 
 def _check_at_least(name: str, value: int, least: int) -> None:
@@ -117,6 +119,15 @@ class FourierTable:
         return np.abs(self.coeffs)
 
 
+def _phase_steps(x: np.ndarray, K: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The step s = isqrt(K + 1) with the baby steps exp(-i r x), r < s, and
+    the giant steps exp(-i j s x), j s <= K, as rows."""
+    s = math.isqrt(K + 1)
+    baby = np.exp(-1j * np.outer(np.arange(s), x))
+    giant = np.exp(-1j * np.outer(np.arange(0, K + 1, s), x))
+    return s, baby, giant
+
+
 def _phase_powers(x: np.ndarray, K: int) -> np.ndarray:
     """exp(-i k x) for k = 0..K as rows, by baby-step/giant-step.
 
@@ -124,34 +135,109 @@ def _phase_powers(x: np.ndarray, K: int) -> np.ndarray:
     baby[r] = exp(-i r x) and giant[j] = exp(-i j s x): about 2 sqrt(K)
     rows of exp instead of K + 1, and row 0 is exactly 1.
     """
-    s = math.isqrt(K + 1)
-    baby = np.exp(-1j * np.outer(np.arange(s), x))
-    giant = np.exp(-1j * np.outer(np.arange(0, K + 1, s), x))
+    s, baby, giant = _phase_steps(x, K)
     return (giant[:, None, :] * baby[None, :, :]).reshape(-1, x.size)[: K + 1]
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly, by Veltkamp's split
+    into 26-bit halves (Dekker 1971); needs no fused multiply-add."""
+    def split(x):
+        c = 134217729.0 * x         # 2^27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
+
+    p = a * b
+    a_hi, a_lo = split(a)
+    b_hi, b_lo = split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _node_offsets(t: np.ndarray) -> np.ndarray:
+    """delta_j = t_j - 2 pi j / N on a full-turn grid t of N nodes, to the
+    rounding of delta_j itself.
+
+    N t_j = q + r and TWO_PI j = p + e exactly (`_two_product`), and
+    2 pi = TWO_PI + _TWO_PI_LOW up to 6e-33, so N delta_j is
+    (q - p) + (r - e) - _TWO_PI_LOW j, where q - p is exact (Sterbenz: q
+    and p agree to rounding) and every other term is of the order of the
+    rounding of t_j.
+    """
+    N = t.size
+    j = np.arange(N, dtype=float)
+    q, r = _two_product(t, float(N))
+    p, e = _two_product(TWO_PI, j)
+    return ((q - p) + (r - e) - _TWO_PI_LOW * j) / N
+
+
+def _full_turn_columns(mu: CurveMeasure, K: int, table: np.ndarray) -> None:
+    """Write the columns l = 0..K of the table of a measure supported on
+    every node of the full-turn grid, by FFT over the nodes.
+
+    With g_j = psi_j h exp(-i l m_j) and the node offsets delta_j of
+    `_node_offsets`, sum_j g_j exp(-i k t_j) = FFT(g)(k) - i k FFT(g delta)(k)
+    up to (k delta)^2 / 2, and |delta_j| <= 2 pi eps puts that below 1e-25
+    for K <= 256.  The rows g are the baby-step/giant-step products of
+    `_phase_powers` with the weights psi h folded into the baby steps, in
+    blocks of whole giant steps, about _FOURIER_BLOCK_MODES rows l; g and
+    g delta of a block share one buffer and one FFT call.
+    """
+    branch = mu.branch
+    N = branch.t.size
+    s, baby, giant = _phase_steps(branch.m, K)
+    baby *= mu.psi * branch.spacing
+    delta = _node_offsets(branch.t)
+    ks = np.arange(-K, K + 1)
+    bins = ks % N
+    steps = max(1, _FOURIER_BLOCK_MODES // s)       # giant steps per block
+    buffer = np.empty((2 * steps * s, N), dtype=complex)
+    for j in range(0, giant.shape[0], steps):
+        rows = min(steps, giant.shape[0] - j) * s   # l = j s .. j s + rows - 1
+        g, g_delta = buffer[:rows], buffer[rows:2 * rows]
+        np.multiply(giant[j:j + steps, None, :], baby[None], out=g.reshape(-1, s, N))
+        np.multiply(g, delta, out=g_delta)
+        F = np.fft.fft(buffer[:2 * rows], axis=1)[:, bins]
+        lo = j * s
+        kept = min(rows, K + 1 - lo)
+        table[:, K + lo:K + lo + kept] = (F[:kept] - 1j * ks * F[rows:rows + kept]).T
 
 
 def fourier_coefficients(mu: CurveMeasure, K: int) -> FourierTable:
     """mu_hat(k,l) = integral exp(-i(k t + l m(t))) psi(t) dt by trapezoid.
 
     Requires K >= 0 and at least 8K branch nodes to keep the highest
-    requested mode well resolved.  The sum runs over the nodes where psi is
-    nonzero, since the others add exact zeros: a bump pays only for its
-    support, a uniform measure for every node.  psi is real, so
-    mu_hat(-k,-l) = conj(mu_hat(k,l)): only the rows k >= 0 are summed, the
-    exponentials of the negative frequencies are the conjugates of the
-    positive ones, the rows k < 0 are filled by conjugation and row 0 is
-    symmetrized, so the symmetry holds exactly.  The exponentials come from
-    `_phase_powers`.  The support is summed in blocks of
-    _FOURIER_BLOCK_NODES nodes, one matmul per block into the rows k >= 0,
-    so memory grows with the table and not with nodes x modes; a support of
-    one block is one matmul.
+    requested mode well resolved.  psi is real, so
+    mu_hat(-k,-l) = conj(mu_hat(k,l)): half the table is summed, the other
+    half is filled by conjugation and the line between them symmetrized,
+    so the symmetry holds exactly.  The phases are the baby-step/giant-step
+    products of `_phase_powers`.  Two routes:
+
+    - psi nonzero at every node of the full-turn grid, t equal to
+      TWO_PI * j / N as `trace_branch` lays it over (0, 2 pi) (a uniform
+      measure on a full branch): the columns l >= 0 by FFT over the nodes,
+      corrected to the rounded nodes (`_full_turn_columns`), column 0
+      symmetrized.  An FFT costs the same for every node, which is what
+      such a measure pays anyway.
+    - any other support (a bump, a partial window): the rows k >= 0 summed
+      over the nodes where psi is nonzero, since the others add exact
+      zeros, so a bump pays only for its support; in blocks of
+      _FOURIER_BLOCK_NODES nodes, one matmul per block, so memory grows
+      with the table and not with nodes x modes, and a support of one
+      block is one matmul; row 0 symmetrized.
     """
     _check_at_least("K", K, 0)
     branch = mu.branch
-    if branch.t.size < 8 * K:
-        raise ValueError(f"branch resolution {branch.t.size} too low for K = {K}")
+    N = branch.t.size
+    if N < 8 * K:
+        raise ValueError(f"branch resolution {N} too low for K = {K}")
     support = np.flatnonzero(mu.psi)
     table = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
+    if support.size == N and np.array_equal(branch.t, TWO_PI * np.arange(N) / N):
+        _full_turn_columns(mu, K, table)
+        column0 = table[:, K]
+        column0[:] = 0.5 * (column0 + np.conj(column0[::-1]))
+        table[:, :K] = np.conj(table[::-1, :K:-1])
+        return FourierTable(K, table)
     top = table[K:]
     for start in range(0, support.size, _FOURIER_BLOCK_NODES):
         nodes = support[start:start + _FOURIER_BLOCK_NODES]
@@ -415,7 +501,9 @@ def cofactor_experiment(f: Poly2, zeros, q: int, N: int, grid: int) -> CofactorR
                     raise ValueError(
                         f"f vanishes on the lattice at ({p1:.6g}, {p2:.6g}) away from "
                         "the supplied zeros")
-        qv = np.divide(np.outer(aN[rows], bN), fv, out=np.zeros_like(fv), where=~tiny)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qv = np.outer(aN[rows], bN) / fv
+        qv[tiny] = 0
         block_sups.append(np.abs(qv).max())
         cols[:, rows] = np.fft.fft(qv, axis=1)[:, : kmax + 1].T
 

@@ -24,6 +24,9 @@ from .poly2 import (Poly2, coeff_distance, complex_from_pair, compute_h,
                     unimodular_reflection_match)
 
 UNITARITY_TOL = 1e-10
+IDENTITY_RESIDUAL_TOL = 1e-8     # a pair's largest Agler identity residual
+REGENERATION_TOL = 1e-8          # f regenerated from U, relative to max(scale, 1)
+NORMALIZED_LAMBDA_TOL = 1e-6     # |lambda - 1| of a normalized f (f~ = lambda f)
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ def verify_agler_identity(f: Poly2, pair: AglerPair) -> float:
     """
     A, B = _colligation(f, pair)
     match = unimodular_reflection_match(f)
-    if not match.matches or abs(match.lam - 1.0) > 1e-6:
+    if not match.matches or abs(match.lam - 1.0) > NORMALIZED_LAMBDA_TOL:
         raise ValueError("f must satisfy f~ = f (normalize first)")
     return float(np.abs(A.T @ A.conj() - B.T @ B.conj()).max())
 
@@ -160,7 +163,7 @@ def unitary_from_pair(f: Poly2, pair: AglerPair) -> DetRep:
     regeneration mismatch raises with the residual attached.
     """
     res = verify_agler_identity(f, pair)
-    if res > 1e-8:
+    if res > IDENTITY_RESIDUAL_TOL:
         raise ValueError(f"pair fails the decomposition identity (residual {res:.3e})")
     A, B = _colligation(f, pair)
     W, _, Vh = np.linalg.svd(B @ A.conj().T)
@@ -171,7 +174,7 @@ def unitary_from_pair(f: Poly2, pair: AglerPair) -> DetRep:
     rep = DetRep(c=complex(f.coeffs[0, 0]), U=U, n=n, m=m)
     regen = polynomial_from_unitary(rep)
     err = coeff_distance(regen, f)
-    if err > 1e-8 * max(f.scale, 1.0):
+    if err > REGENERATION_TOL * max(f.scale, 1.0):
         raise ValueError(f"regeneration mismatch: residual {err:.3e}")
     return rep
 

@@ -1,13 +1,15 @@
 import functools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bicyclic.capacity import (_FOURIER_BLOCK_NODES, FourierTable, TrendVerdict,
-                               _phase_powers, _root_powers, branch_measure,
-                               cofactor_experiment, decay_fit, fourier_coefficients,
-                               make_bump_measure, make_uniform_measure,
+from bicyclic import capacity
+from bicyclic.capacity import (_FOURIER_BLOCK_MODES, _FOURIER_BLOCK_NODES, FourierTable,
+                               TrendVerdict, _node_offsets, _phase_powers, _root_powers,
+                               branch_measure, cofactor_experiment, decay_fit,
+                               fourier_coefficients, make_bump_measure, make_uniform_measure,
                                noncyclicity_certificate, riesz_energy, trend_verdict)
 from bicyclic.classifier import classify
 from bicyclic.curvegeom import curve_type_at, fa_poly, trace_branch
@@ -136,6 +138,8 @@ ACCURACY_INPUTS = {
     "f_0.77-K256": (lambda: fixed_bump(0.77, 256, 0.15033011721279282, 6), 256),
     "1+z1z2-K128": (lambda: branch_measure(Poly2([[1, 0], [0, 1]]), 128), 128),
     "1-z1z2-K256": (lambda: branch_measure(Poly2([[1, 0], [0, -1]]), 256), 256),
+    # 1,600 nodes: not a power of two, so t_j = fl(2 pi j / N) rounds twice
+    "1+z1z2-K200": (lambda: branch_measure(Poly2([[1, 0], [0, 1]]), 200), 200),
 }
 
 
@@ -233,13 +237,27 @@ class TestFourierCoefficients:
                 assert abs(entry(tab, k, l) - entry(tab, k, 0)) <= 1e-12
 
 
-ONE_BLOCK = ["f_0.5-K128", "f_0.4-K256", "f_0.77-K256", "narrow traced bump"]
-SEVERAL_BLOCKS = ["1+z1z2-K128", "1-z1z2-K256", "closed-form bump"]
+def partial_window(nodes):
+    """The uniform measure on the branch of 1 + z1 z2 over (0.1, 2.0), which
+    is not a full turn."""
+    return make_uniform_measure(trace_branch(Poly2([[1, 0], [0, 1]]), (0.1, 2.0), nodes))
+
+
+WINDOW_CASES = {"window-K32": (lambda: partial_window(256), 32),
+                "window-K256": (lambda: partial_window(2048), 256)}
+ONE_BLOCK = ["f_0.5-K128", "f_0.4-K256", "f_0.77-K256", "narrow traced bump", "window-K32"]
+SEVERAL_BLOCKS = ["closed-form bump", "window-K256"]
 
 
 def block_case(name):
-    """(measure, K) of an accuracy input, or of an oracle measure at K 128."""
-    return accuracy_case(name) if name in ACCURACY_INPUTS else (oracle_measure(name), 128)
+    """(measure, K) of an accuracy input, a partial window, or an oracle
+    measure at K 128."""
+    if name in ACCURACY_INPUTS:
+        return accuracy_case(name)
+    if name in WINDOW_CASES:
+        make, K = WINDOW_CASES[name]
+        return make(), K
+    return oracle_measure(name), 128
 
 
 class TestFourierNodeBlocks:
@@ -270,6 +288,48 @@ class TestFourierNodeBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2 ** 20
+
+
+# 2 pi to 62 significant digits
+TWO_PI_EXACT = Fraction("6.2831853071795864769252867665590057683943387987502116419498892")
+FULL_TURN = ["1+z1z2-K128", "1-z1z2-K256", "1+z1z2-K200"]
+
+
+class TestFourierFullTurn:
+    @pytest.mark.parametrize("N", [1024, 1600, 2048])
+    def test_node_offsets_exact(self, N):
+        # delta_j = t_j - 2 pi j / N against rational arithmetic, to the
+        # rounding of delta itself
+        t = TWO_PI * np.arange(N) / N
+        delta = _node_offsets(t)
+        exact = [Fraction(float(tj)) - TWO_PI_EXACT * j / N for j, tj in enumerate(t)]
+        err = max(abs(Fraction(float(d)) - e) for d, e in zip(delta, exact))
+        assert np.abs(delta).max() <= 2 * np.pi * np.finfo(float).eps
+        assert err <= 2 * np.finfo(float).eps * np.abs(delta).max()
+
+    @pytest.mark.parametrize("name", FULL_TURN + ONE_BLOCK + SEVERAL_BLOCKS)
+    def test_fft_exactly_on_full_turn_support(self, name, monkeypatch):
+        mu, K = block_case(name)
+        calls = []
+        route = capacity._full_turn_columns
+
+        def spy(*args):
+            calls.append(args)
+            route(*args)
+
+        monkeypatch.setattr(capacity, "_full_turn_columns", spy)
+        fourier_coefficients(mu, K)
+        assert len(calls) == (name in FULL_TURN)
+
+    @pytest.mark.parametrize("name", FULL_TURN)
+    def test_mode_blocks_equal_one_pass(self, name, monkeypatch):
+        # each transform is one row of the FFT, so blocking the rows l
+        # changes no bit
+        mu, K = block_case(name)
+        assert K + 1 > _FOURIER_BLOCK_MODES
+        got = fourier_coefficients(mu, K).coeffs
+        monkeypatch.setattr(capacity, "_FOURIER_BLOCK_MODES", 4 * (K + 1))
+        assert np.array_equal(got, fourier_coefficients(mu, K).coeffs)
 
 
 class TestPhasePowers:

@@ -113,5 +113,6 @@ def test_every_tolerance_has_a_readme_row():
     tolerances = module_tolerances()
     assert {"stability.OPEN_MARGIN", "curvegeom.DERIVATIVE_REL_THRESHOLD",
             "capacity.CONVERGENT_RATIO", "_roots.INTERP_TRIM", "classifier.MONOTONE_TOL",
-            "curvegeom.FULL_WINDOW_TOL"} <= tolerances
+            "curvegeom.FULL_WINDOW_TOL", "detrep.IDENTITY_RESIDUAL_TOL",
+            "detrep.REGENERATION_TOL", "detrep.NORMALIZED_LAMBDA_TOL"} <= tolerances
     assert tolerances <= rows

@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .poly2 import Poly2
+from .poly2 import Poly2, _convolve
 
 _BAND_BLOCK_ROWS = 64     # least rows per block of the band factor
 
@@ -60,8 +61,12 @@ class ApproximantResult:
         }
 
 
-def _total_degree_basis(cap: int) -> list[tuple[int, int]]:
-    return [(t - j, j) for t in range(cap + 1) for j in range(t + 1)]
+def _total_degree_basis(cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bi, bj) of the points i + j <= cap in degree order, and by j within
+    a degree: degree t holds t + 1 points and starts at t (t + 1) / 2."""
+    t = np.arange(cap + 1)
+    bj = np.arange((cap + 1) * (cap + 2) // 2) - np.repeat(t * (t + 1) // 2, t + 1)
+    return np.repeat(t, t + 1) - bj, bj
 
 
 def optimal_approximant(f: Poly2, space: AlphaSpace, degree_cap: int) -> ApproximantResult:
@@ -73,10 +78,9 @@ def optimal_approximant(f: Poly2, space: AlphaSpace, degree_cap: int) -> Approxi
 
 
 def _gram(f: Poly2, space: AlphaSpace, cap: int, bi: np.ndarray, bj: np.ndarray,
-          rows: np.ndarray) -> np.ndarray:
-    """Rows `rows` (indices into the basis) of the Gram matrix <z^b' f, z^b f>
-    of the shifts of f by the basis (bi, bj), columns in basis order, real
-    when f has real coefficients.
+          fold: bool) -> np.ndarray:
+    """The Gram matrix <z^b' f, z^b f> of the shifts of f by the basis
+    (bi, bj), in basis order, real when f has real coefficients.
 
     The entry for b = (i, j), b' = (i + d, j + e) is
 
@@ -87,6 +91,12 @@ def _gram(f: Poly2, space: AlphaSpace, cap: int, bi: np.ndarray, bj: np.ndarray,
     C[p, q] = conj(a[p,q]) a[p-d,q-e], which vanishes unless (d, e) is a
     difference of two points of supp f, so |d| <= n and |e| <= m.  Each
     such offset is one small product, scattered into the band.
+
+    With `fold` the basis is closed under the swap (i, j) <-> (j, i), and
+    only the rows and columns s = (i, j) with i <= j are built, column s
+    holding G[r, s] + G[r, s'] for the mirror s' = (j, i): each offset's
+    value for a target goes to the column of the target or of its mirror,
+    and a target on the diagonal i = j, its own mirror, counts twice.
     """
     a = f.coeffs if np.any(f.coeffs.imag) else f.coeffs.real
     n, m = a.shape[0] - 1, a.shape[1] - 1
@@ -95,24 +105,37 @@ def _gram(f: Poly2, space: AlphaSpace, cap: int, bi: np.ndarray, bj: np.ndarray,
         w = (np.arange(deg + cap + 1) + 1.0) ** space.alpha
         return w[np.add.outer(np.arange(cap + 1), np.arange(deg + 1))]
 
-    Hk, Hl = hankel(n), hankel(m)
-    # a inside a zero frame, so each shifted copy is one slice
+    # f's autocorrelation terms C[d + n, e + m] = conj(a) a[p-d, q-e], from
+    # the windows of a inside a zero frame, and the offsets (d, e) that are
+    # differences of supp f, the others giving a zero band
     framed = np.zeros((3 * n + 1, 3 * m + 1), dtype=a.dtype)
     framed[n: 2 * n + 1, m: 2 * m + 1] = a
-    index = np.full((cap + 1, cap + 1), -1)
-    index[bi, bj] = np.arange(bi.size)
-    ri, rj = bi[rows], bj[rows]
-    G = np.zeros((ri.size, bi.size), dtype=a.dtype)
-    for d in range(-n, n + 1):
-        for e in range(-m, m + 1):
-            C = np.conj(a) * framed[n - d: 2 * n + 1 - d, m - e: 2 * m + 1 - e]
-            if not C.any():
-                continue    # (d, e) is no difference of supp f: a zero band
-            T = Hk @ C @ Hl.T
-            i, j = ri + d, rj + e
-            ok = (i >= 0) & (j >= 0) & (i + j <= cap)
-            G[np.flatnonzero(ok), index[i[ok], j[ok]]] = T[ri[ok], rj[ok]]
-    return G
+    C = np.conj(a) * sliding_window_view(framed, a.shape)[::-1, ::-1]
+    band = C.any(axis=(2, 3))
+    d, e = np.nonzero(band)
+    d, e = d - n, e - m
+    T = hankel(n) @ C[band] @ hankel(m).T
+    ri, rj = (bi[bi <= bj], bj[bi <= bj]) if fold else (bi, bj)
+    R = ri.size
+    # the target (i, j) of each row under each offset, and its value
+    i, j = ri + d[:, None], rj + e[:, None]
+    v = T[:, ri, rj]
+
+    def slots(ci, cj):
+        """The flat slot in G of each row's target, where the point
+        (ci[s], cj[s]) owns column s; a target that owns no column (off the
+        basis, or not in this scatter) goes to the spare last slot."""
+        column = np.full((cap + 2 * n + 1, cap + 2 * m + 1), R * R)
+        column[ci + n, cj + m] = np.arange(R)
+        return np.minimum(np.arange(0, R * R, R) + column[i + n, j + m], R * R)
+
+    G = np.zeros(R * R + 1, dtype=a.dtype)
+    G[slots(ri, rj)] = v
+    if fold:
+        # a mirror (j, i) goes to the column of (i, j), so a target on the
+        # diagonal counts twice
+        G[slots(rj, ri)] += v
+    return G[:-1].reshape(R, R)
 
 
 def _extended_gcd(x: int, y: int) -> tuple[int, int, int]:
@@ -250,10 +273,11 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
     so the factor runs on the even half of the block, in the basis
     v_r = (e_r + e_r') / |e_r + e_r'| over the shifts r = (i, j) with
     i <= j and their mirrors r' = (j, i), and p comes out exactly
-    symmetric.  Only the rows r of G are built: the even block is
-    E[r, s] = 2 (G[r, s] + G[r, s']) / (|e_r + e_r'| |e_s + e_s'|), with
-    |e_r + e_r'| = 2 on the diagonal i = j and sqrt 2 off it.  The
-    distance is evaluated directly from the residual coefficients.
+    symmetric.  Only the even block is built, folded as it is scattered
+    (`_gram`): E[r, s] = 2 (G[r, s] + G[r, s']) / (|e_r + e_r'| |e_s + e_s'|),
+    with |e_r + e_r'| = 2 on the diagonal i = j and sqrt 2 off it, so only
+    the rows and columns on the diagonal are weighted.  The distance is the
+    norm of every coefficient of the residual p f - 1.
     """
     caps = list(caps)
     if any(b <= a for a, b in zip(caps, caps[1:])):
@@ -265,24 +289,21 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
     if caps[0] < 0:
         raise ValueError("degree cap must be nonnegative")
     cap = caps[-1]
-    bi, bj = np.array(_total_degree_basis(cap)).T
+    bi, bj = _total_degree_basis(cap)
     home = _in_lattice(_support_lattice(f), bi, bj)
     bi, bj = bi[home], bj[home]
     swap = _swap_symmetric(f)
+    H = _gram(f, space, cap, bi, bj, swap)
     if swap:
-        pos = np.zeros((cap + 1, cap + 1), dtype=int)
-        pos[bi, bj] = np.arange(bi.size)
-        even = np.flatnonzero(bi <= bj)
-        R = _gram(f, space, cap, bi, bj, even)
-        H = R[:, even] + R[:, pos[bj[even], bi[even]]]
-        # 2 / (|e_r + e_r'| |e_s + e_s'|) by how many of r, s are off the diagonal
-        off = (bi[even] < bj[even]).astype(np.intp)
-        H *= np.array([0.5, math.sqrt(0.5), 1.0])[np.add.outer(off, off)]
-        bi, bj = bi[even], bj[even]
+        bi, bj = bi[bi <= bj], bj[bi <= bj]
+        # 2 / (|e_r + e_r'| |e_s + e_s'|): 1/2 when r and s are both on the
+        # diagonal, 1/sqrt 2 when one of them is, 1 when neither is; the
+        # columns on it are weighted in the rows off it, then its rows
+        on = np.flatnonzero(bi == bj)
+        H[:, on] *= np.where(bi == bj, 1.0, math.sqrt(0.5))[:, None]
+        H[on] *= np.where(bi == bj, 0.5, math.sqrt(0.5))
         # p = sum x_r v_r over the even basis
         to_coeff = np.where(bi == bj, 1.0, math.sqrt(0.5))
-    else:
-        H = _gram(f, space, cap, bi, bj, np.arange(bi.size))
     sizes = np.searchsorted(bi + bj, caps, side="right")
 
     try:
@@ -301,6 +322,9 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
     rhs = np.zeros(bi.size, dtype=H.dtype)
     rhs[0] = np.conj(a00) if H.dtype.kind == "c" else a00.real
     y = _forward(D, S, rhs)
+    # the weights of the top cap's residual, whose leading part weighs a
+    # smaller cap's
+    w = space.weight_grid((cap + f.coeffs.shape[0], cap + f.coeffs.shape[1]))
     out = []
     for N, B in zip(caps, sizes):
         x = _backward(D, S, y[:B])
@@ -311,6 +335,10 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
         else:
             coeffs[i, j] = x
         p = Poly2(coeffs)
-        dist = alpha_norm(p * f - Poly2.constant(1.0), space)
+        # the residual with every coefficient: a Poly2 would drop its
+        # trailing terms below 1e-12 of the largest, most of it near rounding
+        r = _convolve(p.coeffs, f.coeffs)
+        r[0, 0] -= 1.0
+        dist = float(np.sqrt(np.sum(w[:r.shape[0], :r.shape[1]] * np.abs(r) ** 2)))
         out.append(ApproximantResult(N, p, dist))
     return out

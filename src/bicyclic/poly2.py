@@ -40,6 +40,26 @@ def _trim_grid(a: np.ndarray) -> np.ndarray:
     return a[: rows[-1] + 1, : cols[-1] + 1]
 
 
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coefficient grid of the product of the polynomials with grids a
+    and b, untrimmed.
+
+    Shifted copies of the denser grid a are accumulated over the nonzero
+    coefficients of the sparser b (b on a tie), in reverse order, as
+    a * b[k, l]: each coefficient then sums the same products in the same
+    order as a loop over a's coefficients adding a[k, l] * b, so the two
+    operand orders agree bit for bit unless the counts tie (numpy's complex
+    products need not commute).
+    """
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1), dtype=complex)
+    if np.count_nonzero(a) < np.count_nonzero(b):
+        a, b = b, a
+    kb, lb = np.nonzero(b)
+    for k, l in zip(kb[::-1].tolist(), lb[::-1].tolist()):
+        out[k: k + a.shape[0], l: l + a.shape[1]] += a * b[k, l]
+    return out
+
+
 class Poly2:
     """Bivariate polynomial with complex floating-point coefficients."""
 
@@ -141,23 +161,9 @@ class Poly2:
         if np.isscalar(other):
             return Poly2(self.coeffs * other)
         other = _as_poly(other)
-        a, b = self.coeffs, other.coeffs
         if self.is_zero or other.is_zero:
             return Poly2.zero()
-        out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
-                       dtype=complex)
-        # convolve by accumulating shifted copies of the denser grid a over
-        # the nonzero coefficients of the sparser b (b = other on a tie), in
-        # reverse order, as a * b[k, l]: each coefficient then sums the same
-        # products in the same order as a loop over a's coefficients adding
-        # a[k, l] * b, so the two operand orders agree bit for bit unless
-        # the counts tie (numpy's complex products need not commute)
-        if np.count_nonzero(a) < np.count_nonzero(b):
-            a, b = b, a
-        kb, lb = np.nonzero(b)
-        for k, l in zip(kb[::-1].tolist(), lb[::-1].tolist()):
-            out[k: k + a.shape[0], l: l + a.shape[1]] += a * b[k, l]
-        return Poly2(out)
+        return Poly2(_convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -76,10 +76,34 @@ def integral_norm_quadrature(f: Poly2, alpha: float, nodes: int = 48) -> float:
     return float(np.sqrt(total))
 
 
+def total_degree_basis(cap: int) -> list[tuple[int, int]]:
+    """The shifts (i, j) with i + j <= cap, in degree order and by j within
+    a degree."""
+    return [(t - j, j) for t in range(cap + 1) for j in range(t + 1)]
+
+
 def gram_matrix(f: Poly2, space: AlphaSpace, cap: int) -> np.ndarray:
     """`_gram` over the total-degree basis of `cap`, in degree order."""
-    bi, bj = np.array(_total_degree_basis(cap)).T
-    return _gram(f, space, cap, bi, bj, np.arange(bi.size))
+    bi, bj = np.array(total_degree_basis(cap)).T
+    return _gram(f, space, cap, bi, bj, False)
+
+
+def residual_norm(p: Poly2, f: Poly2, alpha: float) -> float:
+    """||p f - 1|| from the dense convolution of the two grids, untrimmed.
+
+    f's coefficients are taken in reverse row-major order, each adding
+    f[k, l] times p, which is the order of `Poly2.__mul__` when p has more
+    nonzero coefficients than f; at distances near rounding the order of
+    the sums shows (on 4 - z1 - z2 at alpha 0.25, d_48 = 2.9e-12 moves by
+    5e-12 of itself in forward order)."""
+    a, c = f.coeffs, p.coeffs
+    r = np.zeros((a.shape[0] + c.shape[0] - 1, a.shape[1] + c.shape[1] - 1), dtype=complex)
+    for k in reversed(range(a.shape[0])):
+        for l in reversed(range(a.shape[1])):
+            r[k: k + c.shape[0], l: l + c.shape[1]] += c * a[k, l]
+    r[0, 0] -= 1.0
+    w = AlphaSpace(alpha).weight_grid(r.shape)
+    return float(np.sqrt(np.sum(w * np.abs(r) ** 2)))
 
 
 def band_route(H, degrees, reach, rhs0, B):
@@ -96,7 +120,7 @@ def oracle_design(f, alpha, N):
     """Weighted design matrix of the shifts z1^i z2^j f (one column per
     basis monomial, total degree <= N) and the weighted target 1."""
     n, m = f.bidegree
-    basis = [(t - j, j) for t in range(N + 1) for j in range(t + 1)]
+    basis = total_degree_basis(N)
     K, L = n + N + 1, m + N + 1
     w = (np.arange(K)[:, None] + 1.0) ** alpha * (np.arange(L)[None, :] + 1.0) ** alpha
     sw = np.sqrt(w).ravel()
@@ -233,7 +257,7 @@ class TestOptimalApproximant:
         c, d = brute_force_approximant(f0, alpha, 4)
         assert abs(r.distance - d) <= 1e-10
         got = [complex(x) for x in np.ravel(r.approximant.padded((5, 5)))]
-        basis = [(t - j, j) for t in range(5) for j in range(t + 1)]
+        basis = total_degree_basis(4)
         for b, (i, j) in enumerate(basis):
             assert abs(r.approximant.padded((5, 5))[i, j] - c[b]) <= 1e-9
 
@@ -322,7 +346,7 @@ class TestDistanceProfile:
             c, d = brute_force_approximant(f, alpha, N)
             assert abs(r.distance - d) <= 1e-10
             got = r.approximant.padded((N + 1, N + 1))
-            basis = [(t - j, j) for t in range(N + 1) for j in range(t + 1)]
+            basis = total_degree_basis(N)
             for b, (i, j) in enumerate(basis):
                 assert abs(got[i, j] - c[b]) <= 1e-9
 
@@ -339,6 +363,25 @@ class TestDistanceProfile:
 
     def test_empty_caps(self, f0):
         assert distance_profile(f0, AlphaSpace(0.5), []) == []
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 7, 32, 48])
+    def test_basis_by_arithmetic(self, cap):
+        bi, bj = _total_degree_basis(cap)
+        assert list(zip(bi.tolist(), bj.tolist())) == total_degree_basis(cap)
+
+    @pytest.mark.parametrize("c", [4, 3])
+    @pytest.mark.parametrize("alpha", [0.25, 1.0])
+    def test_distance_is_the_untrimmed_residual(self, c, alpha):
+        # p f - 1 is normed with every coefficient: on c - z1 - z2 the
+        # trailing terms of p f fall below 1e-12 of its largest, and dropping
+        # them reported d_48 = 2.2e-16 on 4 - z1 - z2, against 2.9e-12 at
+        # alpha 0.25 and 2.2e-11 at alpha 1 for the p reported with it
+        f = Poly2([[c, -1], [-1, 0]])
+        prof = distance_profile(f, AlphaSpace(alpha), [24, 32, 48])
+        for r in prof:
+            d = residual_norm(r.approximant, f, alpha)
+            assert abs(r.distance - d) <= 1e-12 * d
+        assert prof[2].distance <= prof[1].distance
 
 
 class TestGramMatrix:
@@ -393,6 +436,21 @@ SWAP_SYMMETRIC = {
 }
 
 
+def swap_halves() -> dict:
+    """{name: (f, caps)}: more swap-symmetric f on one coset for the
+    even-half oracle; 2 - z1 - z2 to cap 32 has 289 of the 561 shifts in its
+    even half, factored in 5 band blocks."""
+    rng = np.random.default_rng(29)
+    a00, a10, a11 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return {
+        "2 - z1 - z2 to cap 32": (Poly2([[2, -1], [-1, 0]]), [0, 8, 16, 24, 32]),
+        "random complex (1, 1) to cap 24": (Poly2([[a00, a10], [a10, a11]]), [0, 6, 12, 24]),
+    }
+
+
+SWAP_HALVES = swap_halves()
+
+
 class TestCosetBlocks:
     """The Gram matrix is block diagonal over the cosets of the lattice of
     support differences; the profile solves on the home coset alone and must
@@ -421,7 +479,7 @@ class TestCosetBlocks:
             dist, c = self.dense_oracle(f, alpha, N)
             assert abs(r.distance - dist) <= 1e-12 * dist
             got = r.approximant.padded((N + 1, N + 1))
-            basis = [(t - j, j) for t in range(N + 1) for j in range(t + 1)]
+            basis = total_degree_basis(N)
             assert max(abs(got[i, j] - c[b]) for b, (i, j) in enumerate(basis)) <= 1e-10
 
     @pytest.mark.parametrize("name", sorted(LATTICE_SPARSE))
@@ -438,9 +496,9 @@ class TestCosetBlocks:
         # the 561 in the basis, and `_gram` is built on those alone
         sizes = []
 
-        def counted(f, space, cap, bi, bj, rows):
+        def counted(f, space, cap, bi, bj, fold):
             sizes.append(bi.size)
-            return _gram(f, space, cap, bi, bj, rows)
+            return _gram(f, space, cap, bi, bj, fold)
 
         monkeypatch.setattr(dirichlet, "_gram", counted)
         distance_profile(Poly2([[1, 0], [0, 1]]), AlphaSpace(0.75), [0, 16, 32])
@@ -451,7 +509,7 @@ class TestCosetBlocks:
         # w_{i+1} w_{j+2} of the shifts on its diagonal
         f = Poly2.monomial(1, 2)
         G = gram_matrix(f, AlphaSpace(0.5), 7)
-        diag = [((i + 2) * (j + 3)) ** 0.5 for (i, j) in _total_degree_basis(7)]
+        diag = [((i + 2) * (j + 3)) ** 0.5 for (i, j) in total_degree_basis(7)]
         assert np.array_equal(G, np.diag(np.diag(G)))
         assert np.abs(np.diag(G) - diag).max() <= 1e-12 * max(diag)
         for r in distance_profile(f, AlphaSpace(0.5), [0, 4, 7]):
@@ -481,26 +539,33 @@ class TestCosetBlocks:
         f = Poly2([[2, -0.5], [-1, 0]])
         assert _support_lattice(f) == (1, 0, 1) and not _swap_symmetric(f)
         G = gram_matrix(f, AlphaSpace(0.75), 8)
-        degrees = [i + j for (i, j) in _total_degree_basis(8)]
+        degrees = [i + j for (i, j) in total_degree_basis(8)]
         for r in distance_profile(f, AlphaSpace(0.75), [0, 4, 8]):
             N = r.degree_cap
             B = (N + 1) * (N + 2) // 2
             x = band_route(G, degrees, 2, 2.0, B)
             coeffs = np.zeros((N + 1, N + 1), dtype=complex)
-            coeffs[tuple(np.array(_total_degree_basis(N)).T)] = x
+            coeffs[tuple(np.array(total_degree_basis(N)).T)] = x
             assert np.array_equal(r.approximant.coeffs, Poly2(coeffs).coeffs)
 
     def test_swap_halves_keep_their_arithmetic(self):
-        # 2 - z1 - z2 is one coset that the swap maps to itself: the profile
-        # is the same arithmetic as the band route on the even half of G, in
-        # the even basis (e_ij + e_ji) / |e_ij + e_ji|, i <= j, that block
-        # being E = w (R[:, even] + R[:, mirror]) from the rows R = G[even],
-        # with w = 2 / (|e_r + e_r'| |e_s + e_s'|)
-        f = Poly2([[2, -1], [-1, 0]])
-        space, cap = AlphaSpace(0.75), 8
+        self.check_swap_half(Poly2([[2, -1], [-1, 0]]), [0, 4, 8])
+
+    @pytest.mark.parametrize("name", sorted(SWAP_HALVES))
+    def test_swap_halves_at_cap_32_and_complex(self, name):
+        self.check_swap_half(*SWAP_HALVES[name])
+
+    @staticmethod
+    def check_swap_half(f, caps):
+        # a coset that the swap maps to itself: the profile is the same
+        # arithmetic as the band route on the even half of G, in the even
+        # basis (e_ij + e_ji) / |e_ij + e_ji|, i <= j, that block being
+        # E = w (R[:, even] + R[:, mirror]) from the rows R = G[even], with
+        # w = 2 / (|e_r + e_r'| |e_s + e_s'|)
+        space, cap = AlphaSpace(0.75), caps[-1]
         assert _support_lattice(f) == (1, 0, 1) and _swap_symmetric(f)
         G = gram_matrix(f, space, cap)
-        basis = [(t - j, j) for t in range(cap + 1) for j in range(t + 1)]
+        basis = total_degree_basis(cap)
         index = {b: k for k, b in enumerate(basis)}
         mirror = np.array([index[(j, i)] for (i, j) in basis])
         even = np.array([k for k, (i, j) in enumerate(basis) if i <= j])
@@ -511,17 +576,19 @@ class TestCosetBlocks:
         R = G[even]
         E = (R[:, even] + R[:, mirror[even]]) * w
         degrees = [sum(basis[k]) for k in even]
-        for r in distance_profile(f, space, [0, 4, 8]):
+        a00 = f.coeffs[0, 0]
+        rhs0 = np.conj(a00) if E.dtype.kind == "c" else a00.real
+        for r in distance_profile(f, space, caps):
             N = r.degree_cap
             B = sum(d <= N for d in degrees)
-            x = band_route(E, degrees, 2, 2.0, B) * np.where(diagonal[:B], 1.0, np.sqrt(0.5))
+            x = band_route(E, degrees, 2, rhs0, B) * np.where(diagonal[:B], 1.0, np.sqrt(0.5))
             coeffs = np.zeros((N + 1, N + 1), dtype=complex)
             for k, v in zip(even[:B], x):
                 i, j = basis[k]
                 coeffs[i, j] = coeffs[j, i] = v
             p = Poly2(coeffs)
             assert np.array_equal(r.approximant.coeffs, p.coeffs)
-            assert r.distance == alpha_norm(p * f - Poly2.constant(1.0), space)
+            assert r.distance == residual_norm(p, f, 0.75)
 
     @pytest.mark.parametrize("name", sorted(SWAP_SYMMETRIC))
     @pytest.mark.parametrize("variant", ["as given", "unimodular", "random complex"])
@@ -547,7 +614,7 @@ class TestCosetBlocks:
             assert abs(r.distance - dist) <= 1e-12 * dist
             got = r.approximant.padded((N + 1, N + 1))
             assert np.array_equal(got, got.T)
-            basis = [(t - j, j) for t in range(N + 1) for j in range(t + 1)]
+            basis = total_degree_basis(N)
             assert max(abs(got[i, j] - c[b]) for b, (i, j) in enumerate(basis)) <= 1e-10
 
     def test_swap_test_is_exact(self):
@@ -640,7 +707,7 @@ class TestSolveRoute:
         caps = [0, 8, 16, 24, 32]
         distance_profile(f, AlphaSpace(0.75), caps)
         swap = _swap_symmetric(f)
-        degrees = np.array([i + j for (i, j) in _total_degree_basis(32) if i <= j or not swap])
+        degrees = np.array([i + j for (i, j) in total_degree_basis(32) if i <= j or not swap])
         bs = _block_size(degrees, 2)
         blocks = -(-degrees.size // bs)
         assert (degrees.size, bs, blocks) == ((289, 64, 5) if swap else (561, 96, 6))
@@ -658,7 +725,7 @@ class TestSolveRoute:
         for n, m in [(1, 1), (1, 2)]:
             f = Poly2(rng.standard_normal((n + 1, m + 1))
                       + (0 if real else 1j * rng.standard_normal((n + 1, m + 1))))
-            basis = _total_degree_basis(15)
+            basis = total_degree_basis(15)
             degrees = np.array([i + j for (i, j) in basis])[:B]
             H = gram_matrix(f, AlphaSpace(0.5), 15)[:B, :B]
             bs = _block_size(degrees, n + m)
@@ -681,7 +748,7 @@ class TestSolveRoute:
         # block spans at least three factor blocks, and every cap agrees
         # with the dense solve on the whole normal matrix
         caps = [0, 8, 16, 24]
-        degrees = np.array([i + j for (i, j) in _total_degree_basis(caps[-1])])
+        degrees = np.array([i + j for (i, j) in total_degree_basis(caps[-1])])
         for n, m in [(1, 1), (1, 2), (2, 1), (2, 2)]:
             f = Poly2(rng.standard_normal((n + 1, m + 1))
                       + 1j * rng.standard_normal((n + 1, m + 1)))
@@ -691,7 +758,7 @@ class TestSolveRoute:
                 dist, c = TestCosetBlocks.dense_oracle(f, 0.5, r.degree_cap)
                 assert abs(r.distance - dist) <= 1e-12 * dist
                 got = r.approximant.padded((r.degree_cap + 1, r.degree_cap + 1))
-                basis = _total_degree_basis(r.degree_cap)
+                basis = total_degree_basis(r.degree_cap)
                 assert max(abs(got[i, j] - c[b]) for b, (i, j) in enumerate(basis)) <= 1e-10
 
     def test_singular_block_names_its_cap(self, monkeypatch):

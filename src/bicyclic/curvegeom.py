@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly2 import (ZERO_VALUE_TOL, MobiusParams, Poly2, mobius_numerator,
-                    slice_rows, unimodular_slice_roots)
+from .poly2 import (SAME_POINT_TOL, ZERO_VALUE_TOL, MobiusParams, Poly2,
+                    mobius_numerator, slice_rows, unimodular_slice_roots)
 
 TWO_PI = 2.0 * np.pi
-ROOT_COLLISION_TOL = 1e-6    # branch ambiguity threshold
 FULL_WINDOW_TOL = 1e-9       # a window this close to 2 pi long is a full turn
 DERIVATIVE_REL_THRESHOLD = 1e-7
 RETYPE_NODES = 256           # nodes of each branch mobius_retype traces
@@ -149,8 +148,9 @@ def trace_branch(f: Poly2, t_window: tuple[float, float], nodes: int,
             else:
                 target = cmath.exp(1j * start_hint)
                 j = min(range(lo, hi), key=lambda r: abs(roots[r] - target))
+            # two roots at one node (dz1 = 0) this close are one torus point
             d = sorted(abs(roots[r] - roots[j]) for r in range(lo, hi))
-            if d[1] < ROOT_COLLISION_TOL:
+            if d[1] < SAME_POINT_TOL:
                 raise ValueError(
                     f"branch ambiguity at t = {ts[i]:.6f}: two roots within {d[1]:.2e}")
         arg = angles[j]

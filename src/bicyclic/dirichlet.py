@@ -335,8 +335,8 @@ def distance_profile(f: Poly2, space: AlphaSpace, caps) -> list[ApproximantResul
         else:
             coeffs[i, j] = x
         p = Poly2(coeffs)
-        # the residual with every coefficient: a Poly2 would drop its
-        # trailing terms below 1e-12 of the largest, most of it near rounding
+        # p holds the solved coefficients, and the residual p f - 1 is
+        # normed with every coefficient
         r = _convolve(p.coeffs, f.coeffs)
         r[0, 0] -= 1.0
         dist = float(np.sqrt(np.sum(w[:r.shape[0], :r.shape[1]] * np.abs(r) ** 2)))

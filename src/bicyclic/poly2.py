@@ -2,8 +2,9 @@
 
 A polynomial f(z1, z2) = sum_{k,l} a[k,l] z1^k z2^l is stored as an
 (n+1) x (m+1) complex grid with a tight bidegree: the top row (k = n) and
-the top column (l = m) each carry at least one coefficient whose modulus
-exceeds the trim tolerance, unless f is identically zero.
+the top column (l = m) each carry a nonzero coefficient, unless f is
+identically zero.  Only trailing rows and columns that are exactly zero are
+dropped, so a Poly2 holds every coefficient it was given.
 
 All operations are pure; instances are treated as immutable values.
 """
@@ -17,7 +18,6 @@ import numpy.polynomial.polynomial as P
 
 from ._roots import RELATIVE_COEFF_FLOOR, batched_roots, interpolate_roots_of_unity
 
-DEFAULT_TRIM_TOL = 1e-12
 SYMMETRY_TOL = 1e-9         # max |f~ - lambda f| <= tol * scale is a match
 RESULTANT_ZERO_TOL = 1e-10  # resultant samples below tol * Hadamard bound vanish
 CIRCLE_BAND = 1e-6          # a slice root within this of the unit circle is on it
@@ -26,18 +26,12 @@ SAME_POINT_TOL = 1e-6       # torus points with |dz1| + |dz2| below this coincid
 
 
 def _trim_grid(a: np.ndarray) -> np.ndarray:
-    mags = np.abs(a)
-    top = mags.max()
-    if not np.isfinite(top):
+    if not np.isfinite(a).all():
         raise ValueError("non-finite coefficient")
-    if top == 0.0:
+    rows = np.flatnonzero(a.any(axis=1))
+    if rows.size == 0:
         return np.zeros((1, 1), dtype=complex)
-    thr = DEFAULT_TRIM_TOL * top
-    rows = np.nonzero(mags.max(axis=1) > thr)[0]
-    cols = np.nonzero(mags.max(axis=0) > thr)[0]
-    if rows.size == 0 or cols.size == 0:
-        return np.zeros((1, 1), dtype=complex)
-    return a[: rows[-1] + 1, : cols[-1] + 1]
+    return a[: rows[-1] + 1, : np.flatnonzero(a.any(axis=0))[-1] + 1]
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -73,6 +67,8 @@ class Poly2:
             a = a.reshape(-1, 1)
         elif a.ndim != 2:
             raise ValueError("coefficient grid must be two-dimensional")
+        if a.size == 0:
+            raise ValueError("empty coefficient grid")
         a = _trim_grid(a)
         a.setflags(write=False)
         object.__setattr__(self, "coeffs", a)
@@ -188,8 +184,10 @@ class Poly2:
         Coefficientwise b[k, l] = conj(a[n-k, m-l]).  By default (n, m) is
         the tight bidegree; passing `bidegree` reflects at a larger one
         (needed e.g. when reflecting h at the bidegree of f).  Reflection is
-        an involution up to the reflecting bidegree: it drops degree exactly
-        when the constant term vanishes.
+        an involution at the reflecting bidegree: at the tight one, f~~ = f
+        bit for bit when row 0 and column 0 of f each hold a nonzero
+        coefficient, and f~ drops degree in z1 (z2) when row 0 (column 0) of
+        f is zero.
         """
         if self.is_zero:
             raise ValueError("cannot reflect the zero polynomial")

@@ -94,8 +94,8 @@ def residual_norm(p: Poly2, f: Poly2, alpha: float) -> float:
     f's coefficients are taken in reverse row-major order, each adding
     f[k, l] times p, which is the order of `Poly2.__mul__` when p has more
     nonzero coefficients than f; at distances near rounding the order of
-    the sums shows (on 4 - z1 - z2 at alpha 0.25, d_48 = 2.9e-12 moves by
-    5e-12 of itself in forward order)."""
+    the sums shows (on 4 - z1 - z2 at alpha 0.25, d_48 = 1.0e-15 moves by
+    4.5e-5 of itself in forward order)."""
     a, c = f.coeffs, p.coeffs
     r = np.zeros((a.shape[0] + c.shape[0] - 1, a.shape[1] + c.shape[1] - 1), dtype=complex)
     for k in reversed(range(a.shape[0])):
@@ -299,11 +299,14 @@ class TestOptimalApproximant:
             assert abs(d1 - d2) <= 1e-10
 
     def test_univariate_hardy_closed_form(self):
-        # one-variable oracle: d_N^2 = 1/(N+2) for 1 - z1 in the Hardy space
+        # one-variable oracle for 1 - z1: d_N^2 = 1 / sum_{k=0}^{N+1} (k+1)^-alpha,
+        # 1/(N+2) in the Hardy space
         f = Poly2([[1], [-1]])
-        for N in (0, 2, 5, 8):
-            r = optimal_approximant(f, AlphaSpace(0.0), N)
-            assert abs(r.distance ** 2 - 1.0 / (N + 2)) <= 1e-12
+        caps = [0, 2, 5, 8, 16, 32, 64, 128]
+        for alpha in (0.0, 0.5, 1.0, 1.5):
+            for r in distance_profile(f, AlphaSpace(alpha), caps):
+                exact = 1.0 / sum((k + 1.0) ** -alpha for k in range(r.degree_cap + 2))
+                assert abs(r.distance ** 2 - exact) <= 1e-14 * exact
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
@@ -329,6 +332,24 @@ class TestDistanceProfile:
         prof = distance_profile(Poly2([[1], [-1]]), AlphaSpace(0.0), [0, 4, 8, 16])
         ds = [r.distance for r in prof]
         assert ds[-1] < 0.25 and all(b < a for a, b in zip(ds, ds[1:]))
+
+    @pytest.mark.parametrize("c, u, v, caps", [
+        pytest.param(3, 1, 1, [32, 64, 96], id="3-z1-z2"),
+        pytest.param(4, 1, 1, [16, 32, 48], id="4-z1-z2"),
+        pytest.param(2, 1, 0.5, [32, 64, 96], id="2-z1-0.5z2")])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_distance_below_taylor_ceiling(self, c, u, v, caps, alpha):
+        # minimality oracle: for f = c - u z1 - v z2, zero-free on the closed
+        # bidisk, the Taylor truncation T_N of 1/f has T_N f - 1 =
+        # -((u z1 + v z2)/c)^(N+1), so d_N <= ||T_N f - 1||; 1e-15 absolute
+        # allows for the rounding of the solve where the ceiling is below it
+        f = Poly2([[c, -v], [-u, 0]])
+        for r in distance_profile(f, AlphaSpace(alpha), caps):
+            k = r.degree_cap + 1
+            ceiling = c ** -k * math.sqrt(sum(
+                math.comb(k, i) ** 2 * u ** (2 * i) * v ** (2 * (k - i))
+                * ((i + 1) * (k - i + 1)) ** alpha for i in range(k + 1)))
+            assert r.distance <= ceiling * (1 + 1e-12) + 1e-15
 
     def test_caps_validated(self, f0):
         with pytest.raises(ValueError):
@@ -372,13 +393,14 @@ class TestDistanceProfile:
     @pytest.mark.parametrize("c", [4, 3])
     @pytest.mark.parametrize("alpha", [0.25, 1.0])
     def test_distance_is_the_untrimmed_residual(self, c, alpha):
-        # p f - 1 is normed with every coefficient: on c - z1 - z2 the
-        # trailing terms of p f fall below 1e-12 of its largest, and dropping
-        # them reported d_48 = 2.2e-16 on 4 - z1 - z2, against 2.9e-12 at
-        # alpha 0.25 and 2.2e-11 at alpha 1 for the p reported with it
+        # the reported p holds every solved coefficient, and the distance is
+        # ||p f - 1|| for it with every coefficient: on c - z1 - z2 the top
+        # coefficients of p fall far below its largest (d_48 = 1.0e-15 on
+        # 4 - z1 - z2 at alpha 0.25; a p cut to 24 x 24 reads 2.9e-12)
         f = Poly2([[c, -1], [-1, 0]])
         prof = distance_profile(f, AlphaSpace(alpha), [24, 32, 48])
         for r in prof:
+            assert r.approximant.bidegree == (r.degree_cap, r.degree_cap)
             d = residual_norm(r.approximant, f, alpha)
             assert abs(r.distance - d) <= 1e-12 * d
         assert prof[2].distance <= prof[1].distance

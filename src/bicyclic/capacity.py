@@ -409,15 +409,17 @@ def noncyclicity_certificate(f: Poly2, alpha: float, K: int = 128) -> EnergyRepo
     tz = torus_zero_classification(f)
     if tz.kind is not TorusZeroKind.CURVE:
         raise ValueError("certificate requires a torus zero curve")
-    return _certificate(f, alpha, K)
+    return _certificates(f, [alpha], K)[0]
 
 
-def _certificate(f: Poly2, alpha: float, K: int) -> EnergyReport:
-    """`noncyclicity_certificate` for an f already known to vanish on a torus
-    curve, as `classify_with_evidence` knows from its verdict."""
+def _certificates(f: Poly2, alphas, K: int) -> list[EnergyReport]:
+    """`noncyclicity_certificate` at each of alphas for an f already known to
+    vanish on a torus curve, as `classify_with_evidence` knows from its
+    verdict.  The measure and its Fourier table do not depend on alpha, so
+    they are built once and every energy is read from that one table."""
     _check_at_least("K", K, 8)
     table = fourier_coefficients(branch_measure(f, K), K)
-    return riesz_energy(table, alpha, [K // 8, K // 4, K // 2, K])
+    return [riesz_energy(table, alpha, [K // 8, K // 4, K // 2, K]) for alpha in alphas]
 
 
 @dataclass(frozen=True)

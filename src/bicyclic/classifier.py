@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .capacity import EnergyReport, TrendVerdict, _certificate
+from .capacity import EnergyReport, TrendVerdict, _certificates
 from .dirichlet import AlphaSpace, distance_profile
 from .poly2 import Poly2
 from .stability import BidiskStabilityReport, TorusZeroKind, TorusZeroSet, zero_reports
@@ -141,7 +141,8 @@ def classify_with_evidence(factors, alphas, degree_caps,
 
     Profiles are computed for the product polynomial at each alpha; when the
     verdict is the curve case and 1/2 < alpha <= 1, a non-cyclicity
-    certificate is attached for the first curve factor.  Above 1 the
+    certificate is attached for the first curve factor, each read from the
+    one measure and Fourier table that those alphas share.  Above 1 the
     truncated energy of every probability measure converges, so no
     certificate is attached there; non-cyclicity at alpha = 1 already gives
     it for every larger alpha, since D_alpha embeds in D_1.  Evidence that
@@ -160,6 +161,12 @@ def classify_with_evidence(factors, alphas, degree_caps,
                 and not fa.factor.is_univariate):
             curve_factor = fa.factor
             break
+    certified = [alpha for alpha in alphas if 0.5 < alpha <= 1.0]
+    certificates = {}
+    if (verdict.threshold is Threshold.CYCLIC_IFF_ALPHA_LEQ_HALF
+            and certified and curve_factor is not None):
+        certificates = dict(zip(certified,
+                                _certificates(curve_factor, certified, certificate_K)))
 
     evidence = []
     flags = []
@@ -168,14 +175,11 @@ def classify_with_evidence(factors, alphas, degree_caps,
         profile = tuple(distance_profile(product, space, degree_caps))
         if any(b.distance > a.distance + MONOTONE_TOL for a, b in zip(profile, profile[1:])):
             flags.append(f"distance profile not monotone at alpha={alpha}")
-        cert = None
-        if (verdict.threshold is Threshold.CYCLIC_IFF_ALPHA_LEQ_HALF
-                and 0.5 < alpha <= 1.0 and curve_factor is not None):
-            cert = _certificate(curve_factor, alpha, certificate_K)
-            if cert.verdict is not TrendVerdict.CONVERGENT:
-                flags.append(
-                    f"energy certificate at alpha={alpha} returned {cert.verdict.value} "
-                    "although the verdict predicts non-cyclicity")
+        cert = certificates.get(alpha)
+        if cert is not None and cert.verdict is not TrendVerdict.CONVERGENT:
+            flags.append(
+                f"energy certificate at alpha={alpha} returned {cert.verdict.value} "
+                "although the verdict predicts non-cyclicity")
         evidence.append(EvidenceBundle(alpha, profile, cert))
 
     return CyclicityVerdict(verdict.threshold, verdict.per_factor,

@@ -20,7 +20,7 @@ from ._roots import RELATIVE_COEFF_FLOOR, batched_roots, interpolate_roots_of_un
 
 SYMMETRY_TOL = 1e-9         # max |f~ - lambda f| <= tol * scale is a match
 RESULTANT_ZERO_TOL = 1e-10  # resultant samples below tol * Hadamard bound vanish
-CIRCLE_BAND = 1e-6          # a slice root within this of the unit circle is on it
+CIRCLE_BAND = 1e-7          # a computed root within this of the unit circle is on it
 ZERO_VALUE_TOL = 1e-8       # |f| <= tol * scale at a computed zero of f
 SAME_POINT_TOL = 1e-6       # torus points with |dz1| + |dz2| below this coincide
 
@@ -371,9 +371,10 @@ def unimodular_slice_roots(f: Poly2, z1s: np.ndarray) -> tuple[np.ndarray, np.nd
     array z1s.
 
     One batched root solve over the slice rows; a root within CIRCLE_BAND of
-    the circle is kept and normalized to modulus one.  Returns the kept
-    roots flat, slice by slice, the index into z1s of each one's slice, and
-    the mask of slices that vanish identically (row max at most
+    the circle is kept and normalized to modulus one (the same band decides
+    the roots of univariate factors and of f(., 0) in `stability`).  Returns
+    the kept roots flat, slice by slice, the index into z1s of each one's
+    slice, and the mask of slices that vanish identically (row max at most
     RELATIVE_COEFF_FLOOR * scale), which keep no root.
     """
     rows = slice_rows(f.coeffs, z1s)

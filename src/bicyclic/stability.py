@@ -23,7 +23,10 @@ the quarter points of their arcs and refined by a vectorised ITP search
 that reads M and M'(t) = sum_d i d M_d e^{idt} from the table.  The torus
 points are the slice roots there from `poly2.unimodular_slice_roots` with
 |f| <= ZERO_VALUE_TOL * scale, points closer than SAME_POINT_TOL merged:
-the empty / finite / curve trichotomy for an irreducible f.
+the empty / finite / curve trichotomy for an irreducible f.  One band,
+`poly2.CIRCLE_BAND`, decides whether a computed root lies inside, on or
+outside the unit circle: the slice roots, the roots of a univariate f and
+those of f(., 0).
 """
 from __future__ import annotations
 
@@ -34,11 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import roots_low_first
-from .poly2 import (SAME_POINT_TOL, SYMMETRY_TOL, ZERO_VALUE_TOL, Poly2,
-                    UnimodularMatch, complex_to_pair, mobius_basis, slice_rows,
-                    unimodular_reflection_match, unimodular_slice_roots)
+from .poly2 import (CIRCLE_BAND, SAME_POINT_TOL, SYMMETRY_TOL, ZERO_VALUE_TOL,
+                    Poly2, UnimodularMatch, complex_to_pair, mobius_basis,
+                    slice_rows, unimodular_reflection_match, unimodular_slice_roots)
 
-OPEN_MARGIN = 1e-7          # modulus band separating open from boundary roots
 RANK_BAND = 1e-10           # sigma_min <= band * sigma_max: M is singular off the circle
 _SHIFTS = (0.3 + 0.2j, -0.25 + 0.35j, 0.1 - 0.4j)   # M is tested at z = 1 / conj(s)
 _mobius_basis = functools.lru_cache(maxsize=64)(mobius_basis)   # once per shift and degree
@@ -300,9 +302,9 @@ def _open_witness(f: Poly2, t: float) -> tuple[complex, complex] | None:
 def _slice_engine(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
     """Both zero reports of a bivariate f."""
     a = f.coeffs / f.scale
-    # a zero of f(., 0) in the disk is a witness
+    # a zero of f(., 0) of modulus below 1 - CIRCLE_BAND is a witness
     rts = roots_low_first(a[:, 0]) if np.any(a[:, 0]) else np.zeros(1)
-    inner = rts[np.abs(rts) < 1.0 - OPEN_MARGIN]
+    inner = rts[np.abs(rts) < 1.0 - CIRCLE_BAND]
     witness = (complex(inner[0]), 0j) if inner.size else None
 
     match, crossing = _crossing_angles(f)
@@ -338,11 +340,12 @@ def _slice_engine(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
 
 def _univariate_reports(f: Poly2) -> tuple[BidiskStabilityReport, TorusZeroSet]:
     """Both zero reports of an f in one variable, from its roots: a root
-    within OPEN_MARGIN of the circle is a circle zero for both."""
+    within CIRCLE_BAND of the circle is a circle zero for both, one below
+    1 - CIRCLE_BAND in modulus an open zero."""
     rts = roots_low_first(f.univariate_coeffs())
-    roots = [complex(r) for r in rts if abs(r) <= 1.0 + OPEN_MARGIN]
+    roots = [complex(r) for r in rts if abs(r) <= 1.0 + CIRCLE_BAND]
     hits = [(r, 0j) if f.bidegree[1] == 0 else (0j, r) for r in roots]
-    is_open = [abs(r) < 1.0 - OPEN_MARGIN for r in roots]
+    is_open = [abs(r) < 1.0 - CIRCLE_BAND for r in roots]
     # every hit is a root; the witness is an open one when there is one
     witness = next((h for h, o in zip(hits, is_open) if o), hits[0] if hits else None)
     report = BidiskStabilityReport(
@@ -384,7 +387,7 @@ def torus_zero_classification(f: Poly2) -> TorusZeroSet:
     Irreducibility of f is a documented precondition.  For bivariate f the
     slice engine decides: self-inversive circle slices (f~ = lambda f) give
     a curve, otherwise it lists the isolated torus zeros.  A univariate f
-    with a root within OPEN_MARGIN of the circle vanishes on a curve.  Zeros
+    with a root within CIRCLE_BAND of the circle vanishes on a curve.  Zeros
     inside the bidisk are not checked; `zero_reports` returns both reports.
     """
     return zero_reports(f)[1]

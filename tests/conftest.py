@@ -50,6 +50,12 @@ def from_terms(terms: dict) -> Poly2:
     return Poly2(a)
 
 
+def radial(f, r):
+    """f(r z1, r z2)."""
+    n, m = f.bidegree
+    return Poly2(f.coeffs * r ** np.add.outer(np.arange(n + 1), np.arange(m + 1)))
+
+
 def f_eps(eps: float) -> Poly2:
     """z2 (1 + eps z1^5) - z1 (z1^5 + eps): its torus curve is the line
     m = 6t up to a bend of order eps."""

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from bicyclic import stability
-from bicyclic.capacity import TrendVerdict
+from bicyclic import capacity, stability
+from bicyclic.capacity import TrendVerdict, noncyclicity_certificate
 from bicyclic.classifier import (Threshold, classify, classify_with_evidence)
 from bicyclic.curvegeom import fa_poly
-from bicyclic.poly2 import Poly2
+from bicyclic.poly2 import Poly2, unimodular_slice_roots
 
 
 class TestMainTheorem:
@@ -36,8 +36,8 @@ class TestMainTheorem:
 
 
 class TestUnivariateCircleBand:
-    # one band, OPEN_MARGIN = 1e-7, decides open, circle and outside roots
-    # for both zero reports of a univariate factor
+    # one band, CIRCLE_BAND = 1e-7, decides open, circle and outside roots
+    # for both zero reports of a univariate factor, as it does for slice roots
     @pytest.mark.parametrize("variable", [1, 2])
     @pytest.mark.parametrize("c,label", [(1 + 5e-8, "CyclicIffAlphaLeqOne"),
                                          (1 + 5e-7, "CyclicAllAlpha"),
@@ -45,6 +45,15 @@ class TestUnivariateCircleBand:
     def test_root_near_circle(self, variable, c, label):
         f = Poly2([[-c], [1]]) if variable == 1 else Poly2([[-c, 1]])
         assert classify([f]).threshold.label == label
+
+    @pytest.mark.parametrize("c", [1 + 5e-8, 1 - 5e-8, 1 + 5e-7, 1 - 5e-7])
+    def test_slice_roots_agree_with_the_verdict(self, c):
+        # the slice filter keeps the root of z2 - c exactly when the
+        # univariate path calls it a circle zero
+        f = Poly2([[-c, 1]])
+        kept = unimodular_slice_roots(f, np.ones(1))[1].size == 1
+        circle = classify([f]).threshold is Threshold.CYCLIC_IFF_ALPHA_LEQ_ONE
+        assert kept == circle == (abs(c - 1) < 1e-7)
 
 
 class TestOneEngineRun:
@@ -58,14 +67,24 @@ class TestOneEngineRun:
         assert fa.torus_zeros == stability.torus_zero_classification(two_minus)
 
     def test_evidence_reuses_the_verdict(self, monkeypatch):
-        # the certificate at alpha 0.75 takes the curve from the verdict, so
-        # the slice engine runs once per factor
-        calls = []
+        # the certificates take the curve from the verdict, so the slice
+        # engine runs once per factor, and every alpha above 1/2 reads its
+        # energy from one Fourier table
+        expect = {alpha: noncyclicity_certificate(fa_poly(0.5), alpha, 64).to_dict()
+                  for alpha in (0.6, 0.75, 0.9)}
+        calls, tables = [], []
         engine = stability._slice_engine
         monkeypatch.setattr(stability, "_slice_engine", lambda f: calls.append(f) or engine(f))
-        v = classify_with_evidence([fa_poly(0.5)], (0.25, 0.75), [0, 4, 8], 64)
-        assert v.evidence[1].certificate.verdict is TrendVerdict.CONVERGENT
+        fourier = capacity.fourier_coefficients
+        monkeypatch.setattr(capacity, "fourier_coefficients",
+                            lambda mu, K: tables.append(K) or fourier(mu, K))
+        v = classify_with_evidence([fa_poly(0.5)], (0.25, 0.6, 0.75, 0.9), [0, 4, 8], 64)
+        assert v.evidence[0].certificate is None
+        for ev in v.evidence[1:]:
+            assert ev.certificate.verdict is TrendVerdict.CONVERGENT
+            assert ev.certificate.to_dict() == expect[ev.alpha]
         assert len(calls) == 1
+        assert tables == [64]
 
 
 class TestCombination:

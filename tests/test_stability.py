@@ -12,30 +12,30 @@ from bicyclic.poly2 import (CIRCLE_BAND, ZERO_VALUE_TOL, Poly2, slice_rows,
                             sylvester_resultant_z2)
 from bicyclic.stability import (TorusZeroKind, bidisk_zero_scan,
                                 torus_zero_classification, zero_reports)
+from conftest import radial
 
 
 def grid_scan_oracle(f, radial_steps=64, angular_steps=128):
     """Sampled open-bidisk zero test, independent of the Schur-Cohn engine.
 
     Slices along z2 = w for w on a polar grid of the disk, root-solves in
-    z1 and flags a root with both moduli below 1 - OPEN_MARGIN; then the
+    z1 and flags a root with both moduli below 1 - CIRCLE_BAND; then the
     same with the variables swapped.  A pocket of zeros thinner than the
     grid spacing escapes it.
     """
     from bicyclic._roots import RELATIVE_COEFF_FLOOR, batched_roots
     from bicyclic.poly2 import slice_rows
-    from bicyclic.stability import OPEN_MARGIN
     r = np.linspace(0.0, 1.0, radial_steps)[1:]
     th = np.linspace(0.0, 2 * np.pi, angular_steps, endpoint=False)
     w = np.concatenate(([0j], (r[:, None] * np.exp(1j * th)[None, :]).ravel()))
-    inner = np.abs(w) < 1.0 - OPEN_MARGIN
+    inner = np.abs(w) < 1.0 - CIRCLE_BAND
     for g in (f, f.swap_variables()):
         rows = slice_rows(g.coeffs.T, w)
         # a slice below the root solver's floor vanishes: every point is a root
         row_max = np.abs(rows).max(axis=1)
         degenerate = row_max <= RELATIVE_COEFF_FLOOR * row_max.max()
         # NaN pads compare False
-        hit = degenerate | np.any(np.abs(batched_roots(rows)) < 1.0 - OPEN_MARGIN, axis=1)
+        hit = degenerate | np.any(np.abs(batched_roots(rows)) < 1.0 - CIRCLE_BAND, axis=1)
         if np.any(hit & inner):
             return True
     return False
@@ -81,12 +81,6 @@ def two_minus_powers(k, d=0.0):
     a = np.zeros((k + 1, k + 1), dtype=complex)
     a[0, 0], a[k, 0], a[0, k] = 2.0, -1.0, -(1.0 + d)
     return Poly2(a)
-
-
-def radial(f, r):
-    """f(r z1, r z2)."""
-    n, m = f.bidegree
-    return Poly2(f.coeffs * r ** np.add.outer(np.arange(n + 1), np.arange(m + 1)))
 
 
 class TestBidiskScan:

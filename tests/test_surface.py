@@ -111,7 +111,7 @@ def test_every_tolerance_has_a_readme_row():
     section = (ROOT / "README.md").read_text().split("## Tolerances")[1].split("\n## ")[0]
     rows = set(re.findall(r"^\| `([\w.]+)` \|", section, re.M))
     tolerances = module_tolerances()
-    assert {"stability.OPEN_MARGIN", "curvegeom.DERIVATIVE_REL_THRESHOLD",
+    assert {"poly2.CIRCLE_BAND", "curvegeom.DERIVATIVE_REL_THRESHOLD",
             "capacity.CONVERGENT_RATIO", "_roots.INTERP_TRIM", "classifier.MONOTONE_TOL",
             "curvegeom.FULL_WINDOW_TOL", "detrep.IDENTITY_RESIDUAL_TOL",
             "detrep.REGENERATION_TOL", "detrep.NORMALIZED_LAMBDA_TOL"} <= tolerances
